@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repo CI gate: formatting, lints (warnings are errors), docs, full test
 # suite, the source-contract analyzer (mvml-analyze --validate), the
-# campaign smoke + telemetry cross-validation gate, the serve TCP smoke
+# external benchmark package's build and tests, the campaign smoke + telemetry cross-validation gate, the serve TCP smoke
 # gate, the serve chaos smoke gate (wire-fault totality + rejuvenation
 # availability vs the DSPN model, byte-stable across reruns and shard
 # counts), and the perf-regression gate (which also cross-checks the serve
@@ -13,8 +13,8 @@
 #
 # Knobs:
 #   GATES="..."  run only the named gates (space- or comma-separated).
-#                Known names: fmt clippy docs test analyze campaign serve
-#                chaos perf tsan miri. Example: GATES="fmt,clippy,test".
+#                Known names: fmt clippy docs test analyze benchmark campaign
+#                serve chaos perf tsan miri. Example: GATES="fmt,clippy,test".
 #                Unset/empty = the full default lane (tsan/miri only when
 #                their knobs below ask for them).
 #   PERF_GATE=0  skip the perf-regression gate (it re-measures the NN and
@@ -38,7 +38,7 @@ cd "$(dirname "$0")"
 # Gate harness: run_gate times a gate_<name> function, prints the one-line
 # summary, and the EXIT trap names the gate when anything inside it fails.
 # ---------------------------------------------------------------------------
-KNOWN_GATES="fmt clippy docs test analyze campaign serve chaos perf tsan miri"
+KNOWN_GATES="fmt clippy docs test analyze benchmark campaign serve chaos perf tsan miri"
 CURRENT_GATE=""
 GATE_T0=0
 
@@ -98,6 +98,16 @@ gate_analyze() {
   # Dev profile on purpose: it reuses the build from the test gate, so the
   # whole gate is a quick re-scan + byte-compare.
   cargo run -q -p mvml-analyze -- --validate
+}
+
+gate_benchmark() {
+  # External benchmark gate: benchmark/ is a separate cargo package that
+  # links the workspace crates (ThreadPool, the avsim route runner,
+  # MultiVersionPerception, the DSPN solver), so nothing else in this
+  # script compiles it. Building and testing it here keeps an API change
+  # in those crates from breaking `bash benchmark/run.sh` unseen.
+  echo "== benchmark: benchmark/ package build + unit and integration tests =="
+  cargo test -q --offline --manifest-path benchmark/Cargo.toml
 }
 
 gate_campaign() {
@@ -282,7 +292,7 @@ if [[ -n "${GATES:-}" ]]; then
     esac
   done
 else
-  SELECTED="fmt clippy docs test analyze campaign serve chaos perf"
+  SELECTED="fmt clippy docs test analyze benchmark campaign serve chaos perf"
   [[ "${TSAN:-0}" == "1" ]] && SELECTED+=" tsan"
   [[ "${MIRI:-0}" == "1" ]] && SELECTED+=" miri"
 fi

@@ -783,7 +783,7 @@ mod tests {
 
     #[test]
     fn replay_is_identical_for_any_thread_count() {
-        use mvml_nn::parallel::with_thread_count;
+        use mvml_nn::exec::{current, scoped, Exec};
         let bank = tiny_bank();
         let clean = rasterize(
             Vec2::new(0.0, 0.0),
@@ -808,9 +808,10 @@ mod tests {
             }
             log
         };
-        let serial = with_thread_count(1, run);
+        let base = current();
+        let serial = scoped(Exec { threads: 1, ..base }, run);
         for threads in [2, 4] {
-            let parallel = with_thread_count(threads, run);
+            let parallel = scoped(Exec { threads, ..base }, run);
             assert_eq!(serial, parallel, "replay diverged at {threads} threads");
         }
     }

@@ -11,11 +11,12 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use mvml_avsim::bev::CELLS;
 use mvml_avsim::detector::{yolo_mini, VARIANTS};
+use mvml_nn::exec::{self, Exec};
 use mvml_nn::gemm::gemm;
 use mvml_nn::layer::Layer;
 use mvml_nn::layers::{Conv2d, KernelPath};
 use mvml_nn::models::three_versions;
-use mvml_nn::parallel::{bench_thread_sweep, with_thread_count};
+use mvml_nn::parallel::bench_thread_sweep;
 use mvml_nn::signs::{generate, SignConfig};
 use mvml_nn::Tensor;
 use rand::rngs::StdRng;
@@ -98,13 +99,12 @@ fn bench_gemm_threads(c: &mut Criterion) {
         .map(|i| ((i * 17) % 97) as f32 / 97.0 - 0.5)
         .collect();
     let mut group = c.benchmark_group("gemm_256x256x256");
+    let base = exec::current();
     for threads in bench_thread_sweep() {
         let mut out = vec![0.0f32; m * n];
-        group.bench_function(format!("threads_{threads}"), |bench| {
-            bench.iter(|| {
-                with_thread_count(threads, || {
-                    gemm(m, k, n, black_box(&a), black_box(&b), &mut out)
-                })
+        exec::scoped(Exec { threads, ..base }, || {
+            group.bench_function(format!("threads_{threads}"), |bench| {
+                bench.iter(|| gemm(m, k, n, black_box(&a), black_box(&b), &mut out));
             });
         });
     }

@@ -26,10 +26,11 @@ use mvml_avsim::world::ObjectTruth;
 use mvml_core::dspn::with_proactive;
 use mvml_core::rejuvenation::ProcessConfig;
 use mvml_core::SystemParams;
+use mvml_nn::exec::{self, Exec};
 use mvml_nn::gemm::gemm;
 use mvml_nn::layer::Layer;
 use mvml_nn::layers::{Conv2d, KernelPath};
-use mvml_nn::parallel::{bench_thread_sweep, thread_count, with_thread_count};
+use mvml_nn::parallel::bench_thread_sweep;
 use mvml_nn::Tensor;
 use mvml_petri::reach::explore;
 use mvml_petri::{
@@ -205,10 +206,11 @@ fn gemm_rows() -> Vec<GemmRow> {
         .map(|i| ((i * 17) % 97) as f32 / 97.0 - 0.5)
         .collect();
     let mut out = vec![0.0f32; m * n];
+    let base = exec::current();
     bench_thread_sweep()
         .into_iter()
         .map(|threads| {
-            let ns = with_thread_count(threads, || {
+            let ns = exec::scoped(Exec { threads, ..base }, || {
                 median_ns(7, 5, || {
                     gemm(
                         m,
@@ -288,10 +290,11 @@ fn perception_rows(bank: &DetectorBank) -> Vec<PerceptionRow> {
             std::hint::black_box(p.perceive(&clean));
         })
     };
+    let base = exec::current();
     bench_thread_sweep()
         .into_iter()
         .map(|threads| {
-            with_thread_count(threads, || {
+            exec::scoped(Exec { threads, ..base }, || {
                 let single = fps(1);
                 let three = fps(3);
                 PerceptionRow {
@@ -409,11 +412,8 @@ pub fn nn_summary() -> NnSummary {
     let perception_int8 = Some(int8_perception_row(&bank, f32_single_1t));
     NnSummary {
         host_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        default_threads: thread_count(),
-        thread_cap: std::env::var("MVML_THREADS")
-            .ok()
-            .and_then(|raw| raw.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0),
+        default_threads: exec::current().threads,
+        thread_cap: exec::threads_from_env(),
         conv_forward_batch32: conv_rows(),
         gemm_256x256x256: gemm_rows(),
         perception_fps,

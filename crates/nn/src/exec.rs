@@ -1,0 +1,261 @@
+//! The execution context every compute kernel reads: worker count,
+//! microkernel, and dispatch tuning.
+//!
+//! [`current`] resolves each field in one order:
+//!
+//! 1. an active [`scoped`] override (tests and the bench bins; production
+//!    code never installs one),
+//! 2. the environment, read once per process: `MVML_THREADS` (a positive
+//!    integer; `0` or garbage is ignored) and `MVML_TUNE` (a tuning file,
+//!    see [`crate::tune`]; an unreadable or malformed file panics),
+//! 3. host and built-in defaults: the machine's available parallelism, the
+//!    best kernel in [`available_kernels`], and [`Tuning::default`].
+//!
+//! None of the three fields changes a computed value — the GEMM and every
+//! parallel loop are bitwise-identical across thread counts, kernels and
+//! tunings — so the context is a pure performance knob. Reads are
+//! lock-free while no scope is active.
+
+use crate::gemm::{available_kernels, Kernel};
+use crate::tune::Tuning;
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+
+/// How compute kernels execute: fan-out width, microkernel, and tuning.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Exec {
+    /// Worker threads for parallel loops and large GEMMs (≥ 1).
+    pub threads: usize,
+    /// The GEMM / int8 microkernel.
+    pub kernel: Kernel,
+    /// Cache blocks and path/parallel thresholds.
+    pub tuning: Tuning,
+}
+
+/// The override installed by the innermost active [`scoped`] call. Every
+/// write is a single assignment, so a poisoned lock still holds a valid
+/// value and is recovered.
+static SCOPED: Mutex<Option<Exec>> = Mutex::new(None);
+/// True only while a [`scoped`] call is active: keeps [`current`]
+/// lock-free otherwise. Stored with `Release` after [`SCOPED`] is written
+/// and loaded with `Acquire`, so a reader that sees `true` finds the
+/// override in place.
+static ACTIVE: AtomicBool = AtomicBool::new(false);
+/// Held by the outermost [`scoped`] call, serializing scopes across threads.
+static GUARD: Mutex<()> = Mutex::new(());
+
+thread_local! {
+    /// True while this thread holds [`GUARD`], so nested scopes skip it.
+    static IN_SCOPE: Cell<bool> = const { Cell::new(false) };
+}
+
+/// The context compute kernels run under: the innermost [`scoped`]
+/// override, else the process default (see the module docs).
+///
+/// # Panics
+///
+/// Panics on first resolution if `MVML_TUNE` names an unreadable or
+/// malformed file — a misconfigured perf knob should fail loudly, not
+/// silently run untuned.
+pub fn current() -> Exec {
+    if ACTIVE.load(Ordering::Acquire) {
+        if let Some(exec) = *SCOPED.lock().unwrap_or_else(PoisonError::into_inner) {
+            return exec;
+        }
+    }
+    process_default()
+}
+
+/// The context outside every scope, resolved on first use.
+fn process_default() -> Exec {
+    static DEFAULT: OnceLock<Exec> = OnceLock::new();
+    *DEFAULT.get_or_init(|| Exec {
+        threads: threads_from_env()
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get())),
+        kernel: *available_kernels().last().unwrap_or(&Kernel::Scalar),
+        tuning: tuning_from_env(),
+    })
+}
+
+/// The worker count `MVML_THREADS` asks for, read once per process;
+/// `None` when it is unset, zero, or not an integer.
+pub fn threads_from_env() -> Option<usize> {
+    static CAP: OnceLock<Option<usize>> = OnceLock::new();
+    *CAP.get_or_init(|| {
+        std::env::var("MVML_THREADS")
+            .ok()
+            .and_then(|raw| parse_threads(&raw))
+    })
+}
+
+fn parse_threads(raw: &str) -> Option<usize> {
+    raw.trim().parse::<usize>().ok().filter(|&n| n > 0)
+}
+
+fn tuning_from_env() -> Tuning {
+    match std::env::var("MVML_TUNE") {
+        Ok(path) => {
+            let text = std::fs::read_to_string(&path)
+                .unwrap_or_else(|e| panic!("MVML_TUNE={path}: cannot read: {e}"));
+            Tuning::parse_config(&text)
+                .unwrap_or_else(|e| panic!("MVML_TUNE={path}: parse error: {e}"))
+        }
+        Err(_) => Tuning::default(),
+    }
+}
+
+/// Restores the enclosing override (and releases the guard if this is the
+/// outermost scope) even if the closure panics.
+struct Restore {
+    previous: Option<Exec>,
+    guard: Option<MutexGuard<'static, ()>>,
+}
+
+impl Drop for Restore {
+    fn drop(&mut self) {
+        *SCOPED.lock().unwrap_or_else(PoisonError::into_inner) = self.previous;
+        ACTIVE.store(self.previous.is_some(), Ordering::Release);
+        if self.guard.is_some() {
+            IN_SCOPE.with(|s| s.set(false));
+        }
+    }
+}
+
+/// Runs `f` with [`current`] returning `exec`, process-wide (worker
+/// threads see it too). Scopes on different threads are serialized;
+/// nesting on the same thread is allowed, and the enclosing context is
+/// restored on exit, panics included. Override one field with struct
+/// update syntax: `scoped(Exec { threads: 1, ..current() }, f)`.
+///
+/// # Panics
+///
+/// Panics if `exec.threads` is zero or `exec.kernel` is not in
+/// [`available_kernels`] on this host.
+pub fn scoped<R>(exec: Exec, f: impl FnOnce() -> R) -> R {
+    assert!(exec.threads > 0, "thread count must be positive");
+    assert!(
+        available_kernels().contains(&exec.kernel),
+        "kernel {} is not available on this host",
+        exec.kernel.name()
+    );
+    let nested = IN_SCOPE.with(|s| s.replace(true));
+    let guard = (!nested).then(|| GUARD.lock().unwrap_or_else(PoisonError::into_inner));
+    let previous = SCOPED
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .replace(exec);
+    let _restore = Restore { previous, guard };
+    ACTIVE.store(true, Ordering::Release);
+    f()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::parallel::{ThreadPool, WorkerPool};
+
+    // Scopes are process-wide and tests run concurrently, so exact
+    // assertions run inside an enclosing scope of their own: it holds the
+    // guard, which keeps every other test's scope out until it exits.
+
+    fn exec(threads: usize, kernel: Kernel, stream_max_rows: usize) -> Exec {
+        Exec {
+            threads,
+            kernel,
+            tuning: Tuning {
+                stream_max_rows,
+                ..Tuning::default()
+            },
+        }
+    }
+
+    #[test]
+    fn scopes_override_nest_and_restore_every_field() {
+        let kernels = available_kernels();
+        let outer = exec(2, kernels[0], 11);
+        let inner = exec(5, *kernels.last().unwrap(), 22);
+        let innermost = exec(1, kernels[0], 33);
+        let seen = scoped(outer, || {
+            let nested = scoped(inner, || (scoped(innermost, current), current()));
+            (nested, current())
+        });
+        assert_eq!(seen, ((innermost, inner), outer));
+        assert_ne!(current(), outer, "the outermost scope clears its override");
+    }
+
+    #[test]
+    fn scoped_restores_on_panic() {
+        let outer = exec(2, Kernel::Scalar, 13);
+        let forced = exec(4, Kernel::Scalar, 55);
+        let after = scoped(outer, || {
+            let inner = std::panic::catch_unwind(|| scoped(forced, || panic!("boom")));
+            assert!(inner.is_err());
+            current()
+        });
+        assert_eq!(after, outer, "a panicking nested scope restores its parent");
+        // A panicking outermost scope clears its override and releases the
+        // guard: a later scope on this thread neither deadlocks nor leaks.
+        let outermost = std::panic::catch_unwind(|| scoped(forced, || panic!("boom")));
+        assert!(outermost.is_err());
+        assert_ne!(current(), forced);
+        assert_eq!(scoped(outer, current), outer);
+    }
+
+    #[test]
+    #[should_panic(expected = "thread count must be positive")]
+    fn scoped_rejects_zero_threads() {
+        scoped(exec(0, Kernel::Scalar, 0), || {});
+    }
+
+    #[test]
+    fn scopes_on_other_threads_are_serialized() {
+        let mine = exec(6, Kernel::Scalar, 14);
+        let theirs = exec(7, Kernel::Scalar, 15);
+        let (entered, inside) = std::sync::mpsc::channel();
+        let other = scoped(mine, || {
+            let other = std::thread::spawn(move || {
+                scoped(theirs, || {
+                    entered.send(()).unwrap();
+                    current()
+                })
+            });
+            // The other thread cannot enter its scope while this one is
+            // active, so it never replaces this thread's override.
+            let wait = std::time::Duration::from_millis(50);
+            assert!(inside.recv_timeout(wait).is_err());
+            assert_eq!(current(), mine);
+            other
+        });
+        assert_eq!(other.join().unwrap(), theirs);
+    }
+
+    #[test]
+    fn pools_size_from_the_context() {
+        let four = exec(4, Kernel::Scalar, 16);
+        assert_eq!(scoped(four, || ThreadPool::new().workers()), 4);
+        assert_eq!(scoped(four, || WorkerPool::new().workers()), 4);
+    }
+
+    #[test]
+    fn default_runs_the_best_available_kernel() {
+        assert_eq!(available_kernels()[0], Kernel::Scalar);
+        assert!(available_kernels().contains(&current().kernel));
+        assert_eq!(Some(&process_default().kernel), available_kernels().last());
+        assert!(process_default().threads > 0);
+    }
+
+    #[test]
+    fn env_thread_count_parses_positive_integers_only() {
+        for (raw, want) in [
+            ("4", Some(4)),
+            (" 3 ", Some(3)),
+            ("0", None),
+            ("", None),
+            ("-1", None),
+            ("abc", None),
+        ] {
+            assert_eq!(parse_threads(raw), want, "MVML_THREADS={raw:?}");
+        }
+    }
+}

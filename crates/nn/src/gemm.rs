@@ -7,9 +7,9 @@
 //! microkernel accumulates into vector registers. The microkernel has four
 //! implementations behind one dispatch point ([`Kernel`]): hand-written
 //! `std::arch` AVX2 and SSE2 kernels on x86-64, a NEON kernel on aarch64,
-//! and a portable scalar kernel everywhere. The active kernel is detected
-//! once per process ([`active_kernel`]) and can be forced with the
-//! `MVML_KERNEL` environment variable or, in-process, with [`with_kernel`].
+//! and a portable scalar kernel everywhere. Each call runs the kernel of the
+//! execution context ([`crate::exec`]): the best one this host supports,
+//! unless a scoped override picks another (parity tests do).
 //!
 //! Two data paths cover the shapes the layers produce:
 //!
@@ -52,10 +52,7 @@
 // `std::arch` microkernels and the disjoint-column-stripe writes below.
 #![allow(unsafe_code)]
 
-use crate::parallel;
-use crate::tune;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use crate::exec;
 
 /// Rows per register tile.
 pub(crate) const MR: usize = 4;
@@ -81,43 +78,13 @@ pub enum Kernel {
 }
 
 impl Kernel {
-    /// Canonical lowercase name (the `MVML_KERNEL` vocabulary).
+    /// Canonical lowercase name.
     pub fn name(self) -> &'static str {
         match self {
             Kernel::Scalar => "scalar",
             Kernel::Sse => "sse",
             Kernel::Avx2 => "avx2",
             Kernel::Neon => "neon",
-        }
-    }
-
-    /// Parses a kernel name as used by `MVML_KERNEL`.
-    pub fn parse(s: &str) -> Option<Kernel> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "scalar" => Some(Kernel::Scalar),
-            "sse" | "sse2" => Some(Kernel::Sse),
-            "avx2" => Some(Kernel::Avx2),
-            "neon" => Some(Kernel::Neon),
-            _ => None,
-        }
-    }
-
-    fn code(self) -> usize {
-        match self {
-            Kernel::Scalar => 1,
-            Kernel::Sse => 2,
-            Kernel::Avx2 => 3,
-            Kernel::Neon => 4,
-        }
-    }
-
-    fn from_code(code: usize) -> Option<Kernel> {
-        match code {
-            1 => Some(Kernel::Scalar),
-            2 => Some(Kernel::Sse),
-            3 => Some(Kernel::Avx2),
-            4 => Some(Kernel::Neon),
-            _ => None,
         }
     }
 }
@@ -141,62 +108,6 @@ pub fn available_kernels() -> Vec<Kernel> {
         ks.push(Kernel::Neon);
     }
     ks
-}
-
-/// Process-wide override installed by [`with_kernel`]; 0 = none.
-static KERNEL_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Serializes [`with_kernel`] callers (same discipline as
-/// [`parallel::with_thread_count`]); benign for everyone else because all
-/// kernels produce bitwise-identical results.
-static KERNEL_GUARD: Mutex<()> = Mutex::new(());
-
-/// The kernel every GEMM entry point resolves on call: an active
-/// [`with_kernel`] override, else the process-wide default — `MVML_KERNEL`
-/// when set to an *available* kernel, else the best available one.
-pub fn active_kernel() -> Kernel {
-    if let Some(k) = Kernel::from_code(KERNEL_OVERRIDE.load(Ordering::Relaxed)) {
-        return k;
-    }
-    static DEFAULT: OnceLock<Kernel> = OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        let available = available_kernels();
-        if let Ok(raw) = std::env::var("MVML_KERNEL") {
-            if let Some(k) = Kernel::parse(&raw) {
-                if available.contains(&k) {
-                    return k;
-                }
-            }
-        }
-        *available.last().unwrap_or(&Kernel::Scalar)
-    })
-}
-
-/// Restores the previous kernel override even if the closure panics.
-struct RestoreKernel(usize);
-
-impl Drop for RestoreKernel {
-    fn drop(&mut self) {
-        KERNEL_OVERRIDE.store(self.0, Ordering::SeqCst);
-    }
-}
-
-/// Runs `f` with [`active_kernel`] forced to `k` — the in-process
-/// equivalent of setting `MVML_KERNEL`, used by parity tests and the
-/// autotuner to compare kernels without re-spawning the process.
-///
-/// # Panics
-///
-/// Panics if `k` is not in [`available_kernels`] on this host.
-pub fn with_kernel<R>(k: Kernel, f: impl FnOnce() -> R) -> R {
-    assert!(
-        available_kernels().contains(&k),
-        "kernel {} is not available on this host",
-        k.name()
-    );
-    let _guard = KERNEL_GUARD.lock().unwrap_or_else(|e| e.into_inner());
-    let _restore = RestoreKernel(KERNEL_OVERRIDE.swap(k.code(), Ordering::SeqCst));
-    f()
 }
 
 /// A borrowed row-major matrix, optionally accessed transposed.
@@ -345,7 +256,7 @@ pub fn gemm_nt_acc(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [
     );
 }
 
-/// Path- and thread-dispatching driver. Resolves the kernel and tuning
+/// Path- and thread-dispatching driver. Resolves the execution context
 /// once, zeroes `C` unless accumulating, then routes to the stream or
 /// packed path (see the module docs).
 fn driver(m: usize, k: usize, n: usize, a: Mat<'_>, b: Mat<'_>, c: &mut [f32], accumulate: bool) {
@@ -358,13 +269,15 @@ fn driver(m: usize, k: usize, n: usize, a: Mat<'_>, b: Mat<'_>, c: &mut [f32], a
     if k == 0 {
         return;
     }
-    let kernel = active_kernel();
-    let t = tune::active();
-    let work = m * k * n;
-    let threads = if work < t.parallel_macs {
+    let exec::Exec {
+        threads,
+        kernel,
+        tuning: t,
+    } = exec::current();
+    let threads = if m * k * n < t.parallel_macs {
         1
     } else {
-        parallel::thread_count()
+        threads
     };
 
     if !b.transposed && m <= t.stream_max_rows {
@@ -886,8 +799,8 @@ mod neon {
 #[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
-    use crate::parallel::with_thread_count;
-    use crate::tune::{with_tuning, Tuning};
+    use crate::exec::{current, scoped, Exec};
+    use crate::tune::Tuning;
 
     /// Reference triple loop, k ascending — the accumulation order the
     /// blocked kernel must reproduce exactly for k ≤ KC.
@@ -902,6 +815,15 @@ mod tests {
             }
         }
         c
+    }
+
+    /// `A·B` computed under the execution context `exec`.
+    fn gemm_under(exec: Exec, m: usize, k: usize, n: usize, a: &[f32], b: &[f32]) -> Vec<f32> {
+        scoped(exec, || {
+            let mut c = vec![0.0f32; m * n];
+            gemm(m, k, n, a, b, &mut c);
+            c
+        })
     }
 
     fn arb(len: usize, seed: u64) -> Vec<f32> {
@@ -965,18 +887,11 @@ mod tests {
         ] {
             let a = arb(m * k, 11 + m as u64);
             let b = arb(k * n, 13 + n as u64);
-            let reference = with_kernel(Kernel::Scalar, || {
-                let mut c = vec![0.0f32; m * n];
-                gemm(m, k, n, &a, &b, &mut c);
-                c
-            });
+            let base = current();
+            let run = |kernel| gemm_under(Exec { kernel, ..base }, m, k, n, &a, &b);
+            let reference = run(Kernel::Scalar);
             for kern in available_kernels() {
-                let got = with_kernel(kern, || {
-                    let mut c = vec![0.0f32; m * n];
-                    gemm(m, k, n, &a, &b, &mut c);
-                    c
-                });
-                assert_eq!(got, reference, "kernel {} ({m},{k},{n})", kern.name());
+                assert_eq!(run(kern), reference, "kernel {} ({m},{k},{n})", kern.name());
             }
         }
     }
@@ -988,29 +903,15 @@ mod tests {
         let (m, k, n) = (6, 520, 40);
         let a = arb(m * k, 21);
         let b = arb(k * n, 22);
-        let stream = with_tuning(
-            Tuning {
-                stream_max_rows: 8,
+        let base = current();
+        let run = |stream_max_rows| {
+            let tuning = Tuning {
+                stream_max_rows,
                 ..Tuning::default()
-            },
-            || {
-                let mut c = vec![0.0f32; m * n];
-                gemm(m, k, n, &a, &b, &mut c);
-                c
-            },
-        );
-        let packed = with_tuning(
-            Tuning {
-                stream_max_rows: 0,
-                ..Tuning::default()
-            },
-            || {
-                let mut c = vec![0.0f32; m * n];
-                gemm(m, k, n, &a, &b, &mut c);
-                c
-            },
-        );
-        assert_eq!(stream, packed);
+            };
+            gemm_under(Exec { tuning, ..base }, m, k, n, &a, &b)
+        };
+        assert_eq!(run(8), run(0));
     }
 
     #[test]
@@ -1058,24 +959,17 @@ mod tests {
     }
 
     #[test]
-    fn thread_count_does_not_change_bits() {
+    fn worker_count_does_not_change_bits() {
         // Large enough to cross the parallel threshold and span several
         // row chunks and KC blocks.
         let (m, k, n) = (96, 300, 48);
         let a = arb(m * k, 9);
         let b = arb(k * n, 10);
-        let serial = with_thread_count(1, || {
-            let mut c = vec![0.0f32; m * n];
-            gemm(m, k, n, &a, &b, &mut c);
-            c
-        });
+        let base = current();
+        let run = |threads| gemm_under(Exec { threads, ..base }, m, k, n, &a, &b);
+        let serial = run(1);
         for threads in [2, 3, 4, 7] {
-            let parallel = with_thread_count(threads, || {
-                let mut c = vec![0.0f32; m * n];
-                gemm(m, k, n, &a, &b, &mut c);
-                c
-            });
-            assert_eq!(parallel, serial, "threads = {threads}");
+            assert_eq!(run(threads), serial, "threads = {threads}");
         }
     }
 
@@ -1090,21 +984,17 @@ mod tests {
             parallel_macs: 0,
             ..Tuning::default()
         };
-        let serial = with_tuning(tiny, || {
-            with_thread_count(1, || {
-                let mut c = vec![0.0f32; m * n];
-                gemm(m, k, n, &a, &b, &mut c);
-                c
-            })
-        });
+        let run = |threads| {
+            let exec = Exec {
+                threads,
+                tuning: tiny,
+                ..current()
+            };
+            gemm_under(exec, m, k, n, &a, &b)
+        };
+        let serial = run(1);
         for threads in [2, 3, 5] {
-            let parallel = with_tuning(tiny, || {
-                with_thread_count(threads, || {
-                    let mut c = vec![0.0f32; m * n];
-                    gemm(m, k, n, &a, &b, &mut c);
-                    c
-                })
-            });
+            let parallel = run(threads);
             assert_eq!(parallel, serial, "threads = {threads}");
         }
     }
@@ -1117,24 +1007,5 @@ mod tests {
         let mut c = vec![1.0f32; 6];
         gemm_nt_acc(2, 0, 3, &[], &[], &mut c);
         assert_eq!(c, vec![1.0; 6]);
-    }
-
-    #[test]
-    fn kernel_name_parse_round_trip() {
-        for k in [Kernel::Scalar, Kernel::Sse, Kernel::Avx2, Kernel::Neon] {
-            assert_eq!(Kernel::parse(k.name()), Some(k));
-        }
-        assert_eq!(Kernel::parse("AVX2"), Some(Kernel::Avx2));
-        assert_eq!(Kernel::parse("mmx"), None);
-        assert!(available_kernels().contains(&Kernel::Scalar));
-        assert!(available_kernels().contains(&active_kernel()));
-    }
-
-    #[test]
-    fn with_kernel_overrides_and_restores() {
-        let outer = active_kernel();
-        let inside = with_kernel(Kernel::Scalar, active_kernel);
-        assert_eq!(inside, Kernel::Scalar);
-        assert_eq!(active_kernel(), outer);
     }
 }

@@ -144,16 +144,16 @@ impl Conv2d {
     }
 
     /// `cols` is the batched column count `N·OH·OW`. `Auto` lowers to GEMM
-    /// only when the host tuning ([`crate::tune::active`]) says all three
-    /// thresholds hold: enough output rows that microkernel tiles run
-    /// full, enough reduction depth (`C·K·K`) to amortise the im2col
+    /// only when the context's tuning ([`crate::exec::current`]) says all
+    /// three thresholds hold: enough output rows that microkernel tiles
+    /// run full, enough reduction depth (`C·K·K`) to amortise the im2col
     /// build, and enough total MACs to amortise the per-call buffers.
     fn use_gemm(&self, ckk: usize, cols: usize) -> bool {
         match self.path {
             KernelPath::Gemm => true,
             KernelPath::Direct => false,
             KernelPath::Auto => {
-                let t = crate::tune::active();
+                let t = crate::exec::current().tuning;
                 !cfg!(feature = "reference")
                     && self.out_channels >= t.conv_gemm_min_oc
                     && ckk >= t.conv_gemm_min_ckk
@@ -741,13 +741,14 @@ mod tests {
     #[test]
     fn auto_path_crosses_threshold() {
         // Pin thresholds so the assertions hold on any host tuning.
-        let pinned = crate::tune::Tuning {
+        let tuning = crate::tune::Tuning {
             conv_gemm_min_oc: 12,
             conv_gemm_min_ckk: 32,
             conv_gemm_min_macs: 1 << 18,
             ..crate::tune::Tuning::default()
         };
-        crate::tune::with_tuning(pinned, || {
+        let base = crate::exec::current();
+        crate::exec::scoped(crate::exec::Exec { tuning, ..base }, || {
             let mut rng = StdRng::seed_from_u64(9);
             // Few output channels: direct regardless of how many columns.
             let conv = Conv2d::new(6, 6, 3, 1, &mut rng);

@@ -45,6 +45,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod data;
+pub mod exec;
 pub mod gemm;
 pub mod init;
 pub mod layer;

@@ -1,45 +1,20 @@
 //! Deterministic fan-out helpers for the compute-heavy outer loops.
 //!
-//! The thread count is controlled by the `MVML_THREADS` environment variable
-//! (falling back to the machine's available parallelism), so benchmark and
-//! table-regeneration runs are reproducible: every parallelized loop in this
-//! workspace partitions work so that **results are identical for any thread
-//! count** — threads only change which worker computes which disjoint slice,
-//! never the accumulation order within a slice.
+//! Pools are sized by the `threads` field of the execution context
+//! ([`crate::exec::current`]): a scoped override, else the `MVML_THREADS`
+//! environment variable (read once), else the machine's available
+//! parallelism. Benchmark and table-regeneration runs are reproducible
+//! because every parallelized loop in this workspace partitions work so
+//! that **results are identical for any thread count** — threads only
+//! change which worker computes which disjoint slice, never the
+//! accumulation order within a slice.
 
+use crate::exec;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 
-/// Process-wide override installed by [`with_thread_count`]; 0 = none.
-static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Serializes [`with_thread_count`] callers so concurrent tests don't race
-/// on the override.
-static OVERRIDE_GUARD: Mutex<()> = Mutex::new(());
-
-/// The number of worker threads compute kernels should use.
-///
-/// Resolution order: an active [`with_thread_count`] override, then the
-/// `MVML_THREADS` environment variable (a positive integer), then the
-/// machine's available parallelism.
-pub fn thread_count() -> usize {
-    let forced = OVERRIDE.load(Ordering::Relaxed);
-    if forced > 0 {
-        return forced;
-    }
-    if let Ok(raw) = std::env::var("MVML_THREADS") {
-        if let Ok(n) = raw.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
 /// The canonical worker-count ladder benchmark sweeps measure at: `1, 2, 4`
-/// extended with the resolved [`thread_count`] (sorted, deduplicated).
+/// extended with the resolved context's thread count (sorted, deduplicated).
 ///
 /// Every benchmark or example that sweeps thread counts must route through
 /// this single helper instead of hardcoding its own list, so the batch
@@ -49,52 +24,12 @@ pub fn thread_count() -> usize {
 /// only *adds* rows (unmatched rows are ignored by the gate).
 pub fn bench_thread_sweep() -> Vec<usize> {
     let mut sweep = vec![1usize, 2, 4];
-    let resolved = thread_count();
+    let resolved = exec::current().threads;
     if !sweep.contains(&resolved) {
         sweep.push(resolved);
     }
     sweep.sort_unstable();
     sweep
-}
-
-thread_local! {
-    /// True while this thread is inside [`with_thread_count`], making
-    /// nested calls skip the (non-reentrant) guard mutex.
-    static HOLDING_GUARD: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-/// Restores the previous override even if the wrapped closure panics.
-struct RestoreOverride {
-    previous: usize,
-    took_guard: bool,
-}
-
-impl Drop for RestoreOverride {
-    fn drop(&mut self) {
-        OVERRIDE.store(self.previous, Ordering::SeqCst);
-        if self.took_guard {
-            HOLDING_GUARD.with(|h| h.set(false));
-        }
-    }
-}
-
-/// Runs `f` with [`thread_count`] forced to `n` — the in-process equivalent
-/// of setting `MVML_THREADS`, used by determinism tests to compare thread
-/// counts without re-spawning the process. Concurrent callers from other
-/// threads are serialized; nested calls on the same thread are re-entrant.
-pub fn with_thread_count<R>(n: usize, f: impl FnOnce() -> R) -> R {
-    assert!(n > 0, "thread count must be positive");
-    let nested = HOLDING_GUARD.with(|h| h.replace(true));
-    let _guard = if nested {
-        None
-    } else {
-        Some(OVERRIDE_GUARD.lock().unwrap_or_else(|e| e.into_inner()))
-    };
-    let _restore = RestoreOverride {
-        previous: OVERRIDE.swap(n, Ordering::SeqCst),
-        took_guard: !nested,
-    };
-    f()
 }
 
 /// A scoped fan-out pool over a fixed number of workers.
@@ -110,10 +45,10 @@ pub struct ThreadPool {
 }
 
 impl ThreadPool {
-    /// A pool sized by [`thread_count`].
+    /// A pool sized by the execution context's thread count.
     pub fn new() -> Self {
         ThreadPool {
-            workers: thread_count(),
+            workers: exec::current().threads,
         }
     }
 
@@ -301,9 +236,9 @@ impl<T> JobHandle<T> {
 }
 
 impl WorkerPool {
-    /// A persistent pool sized by [`thread_count`].
+    /// A persistent pool sized by the execution context's thread count.
     pub fn new() -> Self {
-        WorkerPool::with_workers(thread_count())
+        WorkerPool::with_workers(exec::current().threads)
     }
 
     /// A persistent pool with an explicit worker count (≥ 1).
@@ -453,25 +388,13 @@ mod tests {
     }
 
     #[test]
-    fn with_thread_count_overrides_and_restores() {
-        let inside = with_thread_count(3, thread_count);
-        assert_eq!(inside, 3);
-        let nested = with_thread_count(2, || with_thread_count(5, thread_count));
-        assert_eq!(nested, 5);
-    }
-
-    #[test]
-    fn pool_default_uses_thread_count() {
-        let workers = with_thread_count(4, || ThreadPool::new().workers());
-        assert_eq!(workers, 4);
-    }
-
-    #[test]
     fn bench_sweep_is_canonical_and_includes_resolved_count() {
-        assert_eq!(with_thread_count(1, bench_thread_sweep), vec![1, 2, 4]);
-        assert_eq!(with_thread_count(2, bench_thread_sweep), vec![1, 2, 4]);
-        assert_eq!(with_thread_count(8, bench_thread_sweep), vec![1, 2, 4, 8]);
-        assert_eq!(with_thread_count(3, bench_thread_sweep), vec![1, 2, 3, 4]);
+        let base = exec::current();
+        let sweep = |threads| exec::scoped(exec::Exec { threads, ..base }, bench_thread_sweep);
+        assert_eq!(sweep(1), vec![1, 2, 4]);
+        assert_eq!(sweep(2), vec![1, 2, 4]);
+        assert_eq!(sweep(8), vec![1, 2, 4, 8]);
+        assert_eq!(sweep(3), vec![1, 2, 3, 4]);
     }
 
     #[test]
@@ -523,7 +446,7 @@ mod tests {
 
     #[test]
     fn graceful_shutdown_drains_submitted_jobs_and_joins_workers() {
-        use std::sync::atomic::AtomicUsize;
+        use std::sync::atomic::{AtomicUsize, Ordering};
         let completed = Arc::new(AtomicUsize::new(0));
         let pool = WorkerPool::with_workers(2);
         let handles: Vec<_> = (0..24)

@@ -41,7 +41,7 @@
 // int8 microkernel and its dispatch call.
 #![allow(unsafe_code)]
 
-use crate::gemm::{self, Kernel};
+use crate::gemm::Kernel;
 use crate::layer::Layer;
 use crate::layers::{conv, Conv2d, Dense};
 use crate::model::Sequential;
@@ -77,10 +77,11 @@ fn max_abs(xs: &[f32]) -> f32 {
 /// `C = A·B` over int8 with exact `i32` accumulation: `A: [m, k]`,
 /// `B: [k, n]`, `C: [m, n]`, all row-major. `C` is overwritten.
 ///
-/// Dispatches on [`gemm::active_kernel`]: the AVX2 kernel pairs `k` steps
-/// through `_mm256_madd_epi16`; every other kernel selection runs the
-/// scalar loop. All paths produce identical results (integer arithmetic
-/// is exact), so kernel choice is a pure performance knob here too.
+/// Dispatches on the context's kernel ([`crate::exec::current`]): the
+/// AVX2 kernel pairs `k` steps through `_mm256_madd_epi16`; every other
+/// kernel selection runs the scalar loop. All paths produce identical
+/// results (integer arithmetic is exact), so kernel choice is a pure
+/// performance knob here too.
 ///
 /// # Panics
 ///
@@ -99,7 +100,7 @@ pub fn gemm_i8(m: usize, k: usize, n: usize, a: &[i8], b: &[i8], c: &mut [i32]) 
         c.fill(0);
         return;
     }
-    match gemm::active_kernel() {
+    match crate::exec::current().kernel {
         #[cfg(target_arch = "x86_64")]
         Kernel::Avx2 => {
             // SAFETY: slice/dimension agreement asserted above; Avx2 is
@@ -147,7 +148,7 @@ fn gemm_i8_scalar(m: usize, k: usize, n: usize, a: &[i8], b: &[i8], c: &mut [i32
 pub fn requant_i8(acc: &[i32], m: f32, bias: f32, lo: i8, hi: i8, out: &mut [i8]) {
     assert_eq!(acc.len(), out.len(), "requant buffers must match");
     assert!(lo <= hi, "empty clamp range");
-    match gemm::active_kernel() {
+    match crate::exec::current().kernel {
         #[cfg(target_arch = "x86_64")]
         Kernel::Avx2 => {
             // SAFETY: lengths asserted equal above; `Kernel::Avx2` is only
@@ -638,7 +639,8 @@ impl QuantizedSequential {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gemm::{available_kernels, with_kernel};
+    use crate::exec::{current, scoped, Exec};
+    use crate::gemm::available_kernels;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -682,13 +684,14 @@ mod tests {
             let a = arb_i8(m * k, 100 + m as u64);
             let b = arb_i8(k * n, 200 + n as u64);
             let want = naive_i8(m, k, n, &a, &b);
-            for kern in available_kernels() {
-                let got = with_kernel(kern, || {
+            let base = current();
+            for kernel in available_kernels() {
+                let got = scoped(Exec { kernel, ..base }, || {
                     let mut c = vec![-1i32; m * n];
                     gemm_i8(m, k, n, &a, &b, &mut c);
                     c
                 });
-                assert_eq!(got, want, "kernel {} ({m},{k},{n})", kern.name());
+                assert_eq!(got, want, "kernel {} ({m},{k},{n})", kernel.name());
             }
         }
     }
@@ -711,13 +714,14 @@ mod tests {
                         .round_ties_even()
                         .clamp(f32::from(lo), f32::from(hi)) as i8;
                 }
-                for kern in available_kernels() {
-                    let got = with_kernel(kern, || {
+                let base = current();
+                for kernel in available_kernels() {
+                    let got = scoped(Exec { kernel, ..base }, || {
                         let mut out = vec![99i8; len];
                         requant_i8(&acc, m, bias, lo, hi, &mut out);
                         out
                     });
-                    assert_eq!(got, want, "kernel {} len {len}", kern.name());
+                    assert_eq!(got, want, "kernel {} len {len}", kernel.name());
                 }
             }
         }

@@ -10,12 +10,11 @@
 //! them aggressively without invalidating any committed, byte-compared
 //! artifact.
 //!
-//! Three sources feed [`active`], in priority order:
-//!
-//! 1. a scoped [`with_tuning`] override (tests, the autotuner itself),
-//! 2. a tuning file named by the `MVML_TUNE` environment variable,
-//! 3. the built-in [`Tuning::default`], chosen to be good on common
-//!    x86-64/aarch64 hosts.
+//! The tuning in force is the `tuning` field of the execution context
+//! ([`crate::exec::current`]), resolved like its other fields: a scoped
+//! override (tests, the autotuner itself), else a tuning file named by the
+//! `MVML_TUNE` environment variable (read once), else the built-in
+//! [`Tuning::default`], chosen to be good on common x86-64/aarch64 hosts.
 //!
 //! The persistence format ([`Tuning::to_config_string`] /
 //! [`Tuning::parse_config`]) is deterministic: keys sorted, one
@@ -33,13 +32,12 @@
 //! scaling (the shared packed-B parallel driver, whose profitability
 //! threshold is tuned here).
 
+use crate::exec::{self, Exec};
 use crate::gemm;
 use crate::layers::{Conv2d, KernelPath};
 use crate::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// Safely tunable parameters of the GEMM kernel and conv path router.
@@ -138,67 +136,10 @@ impl Tuning {
     }
 }
 
-/// Scoped override state for [`with_tuning`].
-static OVERRIDE: Mutex<Option<Tuning>> = Mutex::new(None);
-/// Fast-path flag: true only while a [`with_tuning`] scope is active.
-static OVERRIDE_ACTIVE: AtomicBool = AtomicBool::new(false);
-/// Serializes [`with_tuning`] callers (same discipline as
-/// [`crate::parallel::with_thread_count`]; not reentrant).
-static GUARD: Mutex<()> = Mutex::new(());
-
-/// The tuning every GEMM/conv dispatch decision resolves on call: an
-/// active [`with_tuning`] override, else the process default (`MVML_TUNE`
-/// file when set, built-in defaults otherwise).
-///
-/// # Panics
-///
-/// Panics on first call if `MVML_TUNE` names an unreadable or malformed
-/// file — a misconfigured perf knob should fail loudly, not silently run
-/// untuned.
-pub fn active() -> Tuning {
-    if OVERRIDE_ACTIVE.load(Ordering::Relaxed) {
-        if let Some(t) = *OVERRIDE.lock().unwrap_or_else(|e| e.into_inner()) {
-            return t;
-        }
-    }
-    static DEFAULT: OnceLock<Tuning> = OnceLock::new();
-    *DEFAULT.get_or_init(|| match std::env::var("MVML_TUNE") {
-        Ok(path) => {
-            let text = std::fs::read_to_string(&path)
-                .unwrap_or_else(|e| panic!("MVML_TUNE={path}: cannot read: {e}"));
-            Tuning::parse_config(&text)
-                .unwrap_or_else(|e| panic!("MVML_TUNE={path}: parse error: {e}"))
-        }
-        Err(_) => Tuning::default(),
-    })
-}
-
-/// Restores the previous override even if the closure panics.
-struct RestoreTuning(Option<Tuning>);
-
-impl Drop for RestoreTuning {
-    fn drop(&mut self) {
-        *OVERRIDE.lock().unwrap_or_else(|e| e.into_inner()) = self.0;
-        OVERRIDE_ACTIVE.store(self.0.is_some(), Ordering::SeqCst);
-    }
-}
-
-/// Runs `f` with [`active`] forced to `t`. Process-wide (affects
-/// concurrent GEMMs), serialized against other `with_tuning` callers, and
-/// **not reentrant** — nesting deadlocks by design rather than silently
-/// interleaving overrides. Numeric results never depend on the tuning, so
-/// cross-thread interference is a performance effect only.
-pub fn with_tuning<R>(t: Tuning, f: impl FnOnce() -> R) -> R {
-    let _guard = GUARD.lock().unwrap_or_else(|e| e.into_inner());
-    let prev = {
-        let mut slot = OVERRIDE.lock().unwrap_or_else(|e| e.into_inner());
-        let prev = *slot;
-        *slot = Some(t);
-        prev
-    };
-    OVERRIDE_ACTIVE.store(true, Ordering::SeqCst);
-    let _restore = RestoreTuning(prev);
-    f()
+/// Runs `f` under the current execution context with its tuning replaced.
+fn scoped_tuning<R>(tuning: Tuning, f: impl FnOnce() -> R) -> R {
+    let base = exec::current();
+    exec::scoped(Exec { tuning, ..base }, f)
 }
 
 /// One timing observation taken by [`autotune`].
@@ -278,7 +219,7 @@ pub fn autotune(budget_iters: usize) -> AutotuneOutcome {
                 parallel_macs: usize::MAX,
                 ..chosen
             };
-            let ns = with_tuning(t, || time_ns(iters, || gemm::gemm(m, k, n, &a, &b, &mut c)));
+            let ns = scoped_tuning(t, || time_ns(iters, || gemm::gemm(m, k, n, &a, &b, &mut c)));
             samples.push(Sample {
                 label: format!("block(mc={mc},nc={nc})"),
                 ns_per_iter: ns,
@@ -300,7 +241,7 @@ pub fn autotune(budget_iters: usize) -> AutotuneOutcome {
     for m in [2usize, 4, 6, 8, 12, 16, 24] {
         let a = fill(m * k, 4 + m as u64);
         let mut c = vec![0.0f32; m * n];
-        let stream = with_tuning(
+        let stream = scoped_tuning(
             Tuning {
                 stream_max_rows: m,
                 parallel_macs: usize::MAX,
@@ -308,7 +249,7 @@ pub fn autotune(budget_iters: usize) -> AutotuneOutcome {
             },
             || time_ns(iters, || gemm::gemm(m, k, n, &a, &b, &mut c)),
         );
-        let packed = with_tuning(
+        let packed = scoped_tuning(
             Tuning {
                 stream_max_rows: 0,
                 parallel_macs: usize::MAX,
@@ -434,33 +375,5 @@ mod tests {
         assert!(Tuning::parse_config("mc = fast\n").is_err());
         assert!(Tuning::parse_config("mc = 0\n").is_err());
         assert!(Tuning::parse_config("just words\n").is_err());
-    }
-
-    #[test]
-    fn with_tuning_overrides_and_restores() {
-        let base = active();
-        let forced = Tuning {
-            stream_max_rows: 77,
-            ..base
-        };
-        let seen = with_tuning(forced, active);
-        assert_eq!(seen.stream_max_rows, 77);
-        assert_eq!(active(), base);
-    }
-
-    #[test]
-    fn with_tuning_restores_on_panic() {
-        let base = active();
-        let result = std::panic::catch_unwind(|| {
-            with_tuning(
-                Tuning {
-                    stream_max_rows: 55,
-                    ..base
-                },
-                || panic!("boom"),
-            )
-        });
-        assert!(result.is_err());
-        assert_eq!(active(), base);
     }
 }

@@ -1,11 +1,11 @@
-//! `MVML_THREADS` must never change numbers: every parallel kernel in this
+//! The thread count must never change numbers: every parallel kernel in this
 //! crate partitions work without altering accumulation order, so any thread
 //! count produces bitwise-identical results on a fixed seed.
 
+use mvml_nn::exec::{current, scoped, Exec};
 use mvml_nn::gemm::gemm;
 use mvml_nn::metrics::evaluate_accuracy;
 use mvml_nn::models::lenet_mini;
-use mvml_nn::parallel::with_thread_count;
 use mvml_nn::signs::{generate, SignConfig};
 use mvml_nn::train::{train_classifier, TrainConfig};
 
@@ -31,9 +31,10 @@ fn training_is_bitwise_identical_across_thread_counts() {
         let report = train_classifier(&mut model, &train, &tc);
         (model.snapshot(), report.epoch_losses)
     };
-    let (weights_1, losses_1) = with_thread_count(1, run);
+    let base = current();
+    let (weights_1, losses_1) = scoped(Exec { threads: 1, ..base }, run);
     for threads in [2, 4] {
-        let (weights_n, losses_n) = with_thread_count(threads, run);
+        let (weights_n, losses_n) = scoped(Exec { threads, ..base }, run);
         assert_eq!(
             losses_1, losses_n,
             "epoch losses differ at {threads} threads"
@@ -59,9 +60,14 @@ fn inference_is_bitwise_identical_across_thread_counts() {
     };
     let mut model = lenet_mini(cfg.image_size, cfg.classes, 9);
     let _ = train_classifier(&mut model, &train, &tc);
-    let acc_1 = with_thread_count(1, || evaluate_accuracy(&mut model, &test, 8));
+    let base = current();
+    let acc_1 = scoped(Exec { threads: 1, ..base }, || {
+        evaluate_accuracy(&mut model, &test, 8)
+    });
     for threads in [3, 4] {
-        let acc_n = with_thread_count(threads, || evaluate_accuracy(&mut model, &test, 8));
+        let acc_n = scoped(Exec { threads, ..base }, || {
+            evaluate_accuracy(&mut model, &test, 8)
+        });
         assert_eq!(
             acc_1.to_bits(),
             acc_n.to_bits(),
@@ -87,10 +93,15 @@ fn large_gemm_is_bitwise_identical_across_thread_counts() {
         .map(|i| ((i * 17) % 97) as f32 / 97.0 - 0.5)
         .collect();
     let mut serial = vec![0.0f32; m * n];
-    with_thread_count(1, || gemm(m, k, n, &a, &b, &mut serial));
+    let base = current();
+    scoped(Exec { threads: 1, ..base }, || {
+        gemm(m, k, n, &a, &b, &mut serial)
+    });
     for threads in [2, 5, 8] {
         let mut parallel = vec![0.0f32; m * n];
-        with_thread_count(threads, || gemm(m, k, n, &a, &b, &mut parallel));
+        scoped(Exec { threads, ..base }, || {
+            gemm(m, k, n, &a, &b, &mut parallel)
+        });
         assert!(
             serial
                 .iter()

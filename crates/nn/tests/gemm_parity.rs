@@ -4,7 +4,8 @@
 //! references, and the layers' GEMM paths against the direct-loop
 //! reference kernels.
 
-use mvml_nn::gemm::{available_kernels, gemm, gemm_nt, gemm_tn, with_kernel, Kernel};
+use mvml_nn::exec::{current, scoped, Exec};
+use mvml_nn::gemm::{available_kernels, gemm, gemm_nt, gemm_tn, Kernel};
 use mvml_nn::layer::Layer;
 use mvml_nn::layers::{Conv2d, Dense, KernelPath};
 use mvml_nn::quant::{dequantize, gemm_i8, quantize, requant_i8, symmetric_scale};
@@ -24,6 +25,12 @@ fn fill(len: usize, salt: u64) -> Vec<f32> {
             ((h >> 40) as f32 / (1u64 << 24) as f32) - 0.5
         })
         .collect()
+}
+
+/// Runs `f` on microkernel `kernel`, the rest of the context unchanged.
+fn on_kernel<R>(kernel: Kernel, f: impl FnOnce() -> R) -> R {
+    let base = current();
+    scoped(Exec { kernel, ..base }, f)
 }
 
 fn naive_gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32]) -> Vec<f32> {
@@ -74,10 +81,10 @@ proptest! {
         let a = fill(m * k, salt);
         let b = fill(k * n, salt ^ 0x9C9C);
         let mut reference = vec![0.0f32; m * n];
-        with_kernel(Kernel::Scalar, || gemm(m, k, n, &a, &b, &mut reference));
+        on_kernel(Kernel::Scalar, || gemm(m, k, n, &a, &b, &mut reference));
         for kern in available_kernels() {
             let mut c = vec![1.0f32; m * n]; // poisoned: every slot must be overwritten
-            with_kernel(kern, || gemm(m, k, n, &a, &b, &mut c));
+            on_kernel(kern, || gemm(m, k, n, &a, &b, &mut c));
             for (i, (got, want)) in c.iter().zip(&reference).enumerate() {
                 prop_assert!(
                     got.to_bits() == want.to_bits(),
@@ -117,7 +124,7 @@ proptest! {
         }
         for kern in available_kernels() {
             let mut c = vec![i32::MIN; m * n];
-            with_kernel(kern, || gemm_i8(m, k, n, &a, &b, &mut c));
+            on_kernel(kern, || gemm_i8(m, k, n, &a, &b, &mut c));
             prop_assert!(c == reference, "{} kernel {m}x{k}x{n}", kern.name());
         }
     }
@@ -165,12 +172,12 @@ proptest! {
             })
             .collect();
         let mut reference = vec![0i8; len];
-        with_kernel(Kernel::Scalar, || {
+        on_kernel(Kernel::Scalar, || {
             requant_i8(&acc, m, bias, 0, 127, &mut reference)
         });
         for kern in available_kernels() {
             let mut out = vec![-1i8; len];
-            with_kernel(kern, || requant_i8(&acc, m, bias, 0, 127, &mut out));
+            on_kernel(kern, || requant_i8(&acc, m, bias, 0, 127, &mut out));
             prop_assert!(out == reference, "{} kernel len {len}", kern.name());
         }
     }
@@ -288,20 +295,20 @@ fn kernel_parity_holds_on_miri_sized_shapes() {
         let a = fill(m * k, 11 + (m * k) as u64);
         let b = fill(k * n, 23 + n as u64);
         let mut want_f32 = vec![0.0f32; m * n];
-        with_kernel(Kernel::Scalar, || gemm(m, k, n, &a, &b, &mut want_f32));
+        on_kernel(Kernel::Scalar, || gemm(m, k, n, &a, &b, &mut want_f32));
 
         let ai: Vec<i8> = (0..m * k).map(|i| (i % 17) as i8 - 8).collect();
         let bi: Vec<i8> = (0..k * n).map(|i| (i % 23) as i8 - 11).collect();
         let mut want_i32 = vec![0i32; m * n];
-        with_kernel(Kernel::Scalar, || gemm_i8(m, k, n, &ai, &bi, &mut want_i32));
+        on_kernel(Kernel::Scalar, || gemm_i8(m, k, n, &ai, &bi, &mut want_i32));
         let mut want_i8 = vec![0i8; m * n];
-        with_kernel(Kernel::Scalar, || {
+        on_kernel(Kernel::Scalar, || {
             requant_i8(&want_i32, 0.015_625, 0.5, 0, 127, &mut want_i8)
         });
 
         for kern in available_kernels() {
             let mut c = vec![f32::NAN; m * n];
-            with_kernel(kern, || gemm(m, k, n, &a, &b, &mut c));
+            on_kernel(kern, || gemm(m, k, n, &a, &b, &mut c));
             assert!(
                 c.iter()
                     .zip(&want_f32)
@@ -310,10 +317,10 @@ fn kernel_parity_holds_on_miri_sized_shapes() {
                 kern.name()
             );
             let mut ci = vec![i32::MIN; m * n];
-            with_kernel(kern, || gemm_i8(m, k, n, &ai, &bi, &mut ci));
+            on_kernel(kern, || gemm_i8(m, k, n, &ai, &bi, &mut ci));
             assert_eq!(ci, want_i32, "i8 {} kernel on {m}x{k}x{n}", kern.name());
             let mut qi = vec![-1i8; m * n];
-            with_kernel(kern, || requant_i8(&ci, 0.015_625, 0.5, 0, 127, &mut qi));
+            on_kernel(kern, || requant_i8(&ci, 0.015_625, 0.5, 0, 127, &mut qi));
             assert_eq!(qi, want_i8, "requant {} kernel on {m}x{k}x{n}", kern.name());
         }
     }

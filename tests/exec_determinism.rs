@@ -1,0 +1,87 @@
+//! The nn determinism contract, end to end: a model forward pass and a raw
+//! GEMM give bit-identical output under every execution context — any
+//! thread count, any microkernel this host supports, any cache-block
+//! tuning.
+
+use resilient_perception::nn::exec::{current, scoped, Exec};
+use resilient_perception::nn::gemm::{available_kernels, gemm};
+use resilient_perception::nn::layer::Layer;
+use resilient_perception::nn::models::lenet_mini;
+use resilient_perception::nn::tune::Tuning;
+use resilient_perception::nn::Tensor;
+
+/// Every combination of threads {1, 2, 4} × available kernels ×
+/// {default, tiny-block} tuning. The tiny tuning shrinks the cache blocks
+/// to one register tile, disables the stream path, fans every GEMM out
+/// over the workers, and routes every convolution through the GEMM.
+fn contexts() -> Vec<Exec> {
+    let tiny = Tuning {
+        mc: 4,
+        nc: 8,
+        stream_max_rows: 0,
+        parallel_macs: 0,
+        conv_gemm_min_oc: 0,
+        conv_gemm_min_ckk: 0,
+        conv_gemm_min_macs: 0,
+    };
+    let mut all = Vec::new();
+    for threads in [1, 2, 4] {
+        for kernel in available_kernels() {
+            for tuning in [Tuning::default(), tiny] {
+                all.push(Exec {
+                    threads,
+                    kernel,
+                    tuning,
+                });
+            }
+        }
+    }
+    all
+}
+
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Deterministic values in `[-0.5, 0.5)`.
+fn fill(len: usize, salt: u64) -> Vec<f32> {
+    (0..len)
+        .map(|i| {
+            let h = (i as u64)
+                .wrapping_add(salt)
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            ((h >> 40) as f32 / (1u64 << 24) as f32) - 0.5
+        })
+        .collect()
+}
+
+#[test]
+fn lenet_forward_is_bit_identical_in_every_context() {
+    let (batch, size) = (4, 16);
+    let x = Tensor::from_vec(&[batch, 1, size, size], fill(batch * size * size, 7));
+    let mut model = lenet_mini(size, 5, 3);
+    let mut forward = |exec| scoped(exec, || bits(model.forward(&x, false).as_slice()));
+    let reference = forward(current());
+    for exec in contexts() {
+        assert_eq!(forward(exec), reference, "{exec:?}");
+    }
+}
+
+#[test]
+fn gemm_is_bit_identical_in_every_context() {
+    // Several KC blocks deep and wide enough for every path to engage.
+    let (m, k, n) = (37, 300, 45);
+    let a = fill(m * k, 1);
+    let b = fill(k * n, 2);
+    let run = |exec| {
+        scoped(exec, || {
+            let mut c = vec![0.0f32; m * n];
+            gemm(m, k, n, &a, &b, &mut c);
+            bits(&c)
+        })
+    };
+    let reference = run(current());
+    for exec in contexts() {
+        assert_eq!(run(exec), reference, "{exec:?}");
+    }
+}
