@@ -28,7 +28,8 @@
 #                #[cfg_attr(miri, ignore)]; a dedicated miri-sized parity
 #                test stays in.
 #   TSAN=1       additionally run the threaded suites (nn thread pool, the
-#                map_recorded replay-determinism test) under ThreadSanitizer.
+#                map_recorded replay-determinism test, serve's parallel
+#                tenant build) under ThreadSanitizer.
 #                Needs a nightly toolchain with the rust-src component
 #                (-Zbuild-std); skips gracefully when unavailable.
 set -euo pipefail
@@ -262,6 +263,10 @@ gate_tsan() {
     RUSTFLAGS="-Zsanitizer=thread" cargo +nightly test -q \
       -Zbuild-std --target "$host_target" -p mvml-avsim --lib \
       replay_is_identical_for_any_thread_count
+    echo "== tsan: serve tenant blueprints trained on pool threads =="
+    RUSTFLAGS="-Zsanitizer=thread" cargo +nightly test -q \
+      -Zbuild-std --target "$host_target" -p resilient-perception \
+      --test serve_parallel_build
   else
     echo "TSAN requested but nightly + rust-src are unavailable; skipping." >&2
     echo "(install with: rustup toolchain install nightly --component rust-src)" >&2

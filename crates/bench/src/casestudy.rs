@@ -1,10 +1,10 @@
 //! Shared machinery for the CARLA-substitute case study (Tables VI–VIII):
 //! a standard trained detector bank and parallel campaign execution.
 
-use crossbeam::thread;
 use mvml_avsim::runner::{aggregate_route, aggregate_route_traced, RouteAggregate, RunConfig};
 use mvml_avsim::town::all_routes;
 use mvml_avsim::{DetectorBank, DetectorTrainConfig};
+use mvml_nn::parallel::ThreadPool;
 use mvml_obs::{Recorder, RingBufferSink, TelemetryRecord};
 use std::sync::Arc;
 
@@ -14,29 +14,19 @@ pub fn standard_bank() -> DetectorBank {
     DetectorBank::train(&DetectorTrainConfig::default())
 }
 
-/// Runs the full eight-route campaign (`runs` per route) in parallel,
-/// one thread per route, returning aggregates in route order.
+/// Runs the full eight-route campaign (`runs` per route) in parallel over
+/// a [`ThreadPool`], returning aggregates in route order. Each route's
+/// perception fan-out runs within its pool job's share of the threads.
 pub fn campaign(bank: &DetectorBank, base: &RunConfig, runs: usize) -> Vec<RouteAggregate> {
-    let routes = all_routes();
-    let mut results: Vec<Option<RouteAggregate>> = vec![None; routes.len()];
-    thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for route in &routes {
-            let base = *base;
-            handles.push(scope.spawn(move |_| aggregate_route(route, bank, &base, runs)));
-        }
-        for (slot, handle) in results.iter_mut().zip(handles) {
-            *slot = Some(handle.join().expect("campaign thread panicked"));
-        }
+    ThreadPool::new().map(all_routes(), |route| {
+        aggregate_route(&route, bank, base, runs)
     })
-    .expect("campaign scope");
-    results.into_iter().map(|r| r.expect("filled")).collect()
 }
 
 /// [`campaign`] with telemetry. Routes still execute in parallel, but each
 /// records into a private buffer under the scope `route{id}/run{i}`; the
-/// buffers are replayed into `recorder` in route order once all threads have
-/// joined, so the exported stream is deterministic (identical content for
+/// buffers are replayed into `recorder` in route order once every route has
+/// finished, so the exported stream is deterministic (identical content for
 /// any thread interleaving — only the replayed records' timings carry
 /// wall-clock). With a disabled recorder this is exactly [`campaign`].
 pub fn campaign_traced(
@@ -48,31 +38,18 @@ pub fn campaign_traced(
     if !recorder.enabled() {
         return campaign(bank, base, runs);
     }
-    let routes = all_routes();
     // Generous per-route bound: ~10 records per frame (module inferences,
     // voter decision, pool run, ticks, occasional health events).
     let capacity = (runs * base.max_frames).saturating_mul(64).max(4096);
-    let mut results: Vec<Option<(RouteAggregate, Vec<TelemetryRecord>)>> = vec![None; routes.len()];
-    thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for route in &routes {
-            let base = *base;
-            handles.push(scope.spawn(move |_| {
-                // mvml-allow(telemetry_purity): the case-study harness owns its ring buffer to replay per-route streams; production code never reads sinks
-                let ring = Arc::new(RingBufferSink::new(capacity));
-                let local = Recorder::new(ring.clone()).scoped(&format!("route{}", route.id));
-                let agg = aggregate_route_traced(route, bank, &base, runs, &local);
-                (agg, ring.snapshot())
-            }));
-        }
-        for (slot, handle) in results.iter_mut().zip(handles) {
-            *slot = Some(handle.join().expect("campaign thread panicked"));
-        }
-    })
-    .expect("campaign scope");
-    let mut aggregates = Vec::with_capacity(routes.len());
-    for slot in results {
-        let (agg, records) = slot.expect("filled");
+    let results = ThreadPool::new().map(all_routes(), |route| {
+        // mvml-allow(telemetry_purity): the case-study harness owns its ring buffer to replay per-route streams; production code never reads sinks
+        let ring = Arc::new(RingBufferSink::new(capacity));
+        let local = Recorder::new(ring.clone()).scoped(&format!("route{}", route.id));
+        let agg = aggregate_route_traced(&route, bank, base, runs, &local);
+        (agg, ring.snapshot())
+    });
+    let mut aggregates = Vec::with_capacity(results.len());
+    for (agg, records) in results {
         for record in records {
             let TelemetryRecord {
                 scope,

@@ -11,6 +11,14 @@
 //! 3. host and built-in defaults: the machine's available parallelism, the
 //!    best kernel in [`available_kernels`], and [`Tuning::default`].
 //!
+//! A thread running a pool job sees a smaller `threads`: its share of the
+//! budget of the context that spawned the job,
+//! `min(threads, max(1, parent_threads / workers))`, where `workers` counts
+//! the pool's threads that run concurrently, the caller's own inline chunk
+//! included (see [`crate::parallel`]). A GEMM or a nested pool inside a job
+//! therefore fans out only over that job's slice of the cores, and nested
+//! fan-outs never ask for more threads than the outermost budget.
+//!
 //! None of the three fields changes a computed value — the GEMM and every
 //! parallel loop are bitwise-identical across thread counts, kernels and
 //! tunings — so the context is a pure performance knob. Reads are
@@ -48,10 +56,13 @@ static GUARD: Mutex<()> = Mutex::new(());
 thread_local! {
     /// True while this thread holds [`GUARD`], so nested scopes skip it.
     static IN_SCOPE: Cell<bool> = const { Cell::new(false) };
+    /// The thread budget of the pool job this thread is running, if any.
+    static SHARE: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
 /// The context compute kernels run under: the innermost [`scoped`]
-/// override, else the process default (see the module docs).
+/// override, else the process default, with `threads` capped at this
+/// thread's worker share inside a pool job (see the module docs).
 ///
 /// # Panics
 ///
@@ -59,12 +70,41 @@ thread_local! {
 /// malformed file — a misconfigured perf knob should fail loudly, not
 /// silently run untuned.
 pub fn current() -> Exec {
+    let mut exec = resolved();
+    if let Some(share) = SHARE.with(Cell::get) {
+        exec.threads = exec.threads.min(share);
+    }
+    exec
+}
+
+/// The innermost [`scoped`] override, else the process default.
+fn resolved() -> Exec {
     if ACTIVE.load(Ordering::Acquire) {
         if let Some(exec) = *SCOPED.lock().unwrap_or_else(PoisonError::into_inner) {
             return exec;
         }
     }
     process_default()
+}
+
+/// The thread budget of each of `workers` (≥ 1) concurrent pool jobs
+/// spawned from this thread: an even split of [`current`]'s, at least one.
+pub(crate) fn worker_share(workers: usize) -> usize {
+    (current().threads / workers).max(1)
+}
+
+/// Runs `f` as a pool job whose thread budget is `share`: [`current`]
+/// caps `threads` at it until `f` returns, and the enclosing budget is
+/// restored on exit, panics included.
+pub(crate) fn as_worker<R>(share: usize, f: impl FnOnce() -> R) -> R {
+    struct Reset(Option<usize>);
+    impl Drop for Reset {
+        fn drop(&mut self) {
+            SHARE.with(|s| s.set(self.0));
+        }
+    }
+    let _reset = Reset(SHARE.with(|s| s.replace(Some(share))));
+    f()
 }
 
 /// The context outside every scope, resolved on first use.
@@ -123,10 +163,11 @@ impl Drop for Restore {
 }
 
 /// Runs `f` with [`current`] returning `exec`, process-wide (worker
-/// threads see it too). Scopes on different threads are serialized;
-/// nesting on the same thread is allowed, and the enclosing context is
-/// restored on exit, panics included. Override one field with struct
-/// update syntax: `scoped(Exec { threads: 1, ..current() }, f)`.
+/// threads see it too, with `threads` capped at their share). Scopes on
+/// different threads are serialized; nesting on the same thread is
+/// allowed, and the enclosing context is restored on exit, panics
+/// included. Override one field with struct update syntax:
+/// `scoped(Exec { threads: 1, ..current() }, f)`.
 ///
 /// # Panics
 ///
@@ -235,6 +276,63 @@ mod tests {
         let four = exec(4, Kernel::Scalar, 16);
         assert_eq!(scoped(four, || ThreadPool::new().workers()), 4);
         assert_eq!(scoped(four, || WorkerPool::new().workers()), 4);
+    }
+
+    #[test]
+    fn pool_jobs_see_an_even_share_of_the_spawning_budget() {
+        let threads_seen = |budget, workers, items: usize| {
+            scoped(exec(budget, Kernel::Scalar, 17), || {
+                ThreadPool::with_workers(workers).map((0..items).collect(), |_| current().threads)
+            })
+        };
+        assert_eq!(threads_seen(4, 2, 2), vec![2; 2]);
+        assert_eq!(threads_seen(2, 2, 4), vec![1; 4]);
+        assert_eq!(threads_seen(2, 3, 3), vec![1; 3]);
+        // Only the threads a call runs count: one item runs inline with
+        // the whole budget.
+        assert_eq!(threads_seen(4, 2, 1), vec![4]);
+        let mut slots = vec![0usize; 4];
+        scoped(exec(4, Kernel::Scalar, 17), || {
+            ThreadPool::with_workers(2).for_each_mut(&mut slots, |_, t| *t = current().threads);
+        });
+        assert_eq!(slots, vec![2; 4]);
+    }
+
+    #[test]
+    fn nested_pools_size_to_the_worker_share() {
+        let inner = scoped(exec(4, Kernel::Scalar, 18), || {
+            ThreadPool::with_workers(2).map(vec![0, 1], |_| {
+                let pool = ThreadPool::new();
+                let nested = pool.map(vec![0, 1], |_| current().threads);
+                (pool.workers(), nested)
+            })
+        });
+        assert_eq!(inner, vec![(2, vec![1, 1]); 2]);
+    }
+
+    #[test]
+    fn worker_pool_jobs_see_the_share() {
+        let seen = scoped(exec(4, Kernel::Scalar, 19), || {
+            let pool = WorkerPool::with_workers(2);
+            let jobs = (0..4).map(|_| current).collect();
+            pool.run_all(jobs)
+        });
+        assert_eq!(seen.len(), 4);
+        for outcome in seen {
+            assert_eq!(outcome.map(|e| e.threads), Ok(2));
+        }
+    }
+
+    #[test]
+    fn callers_context_is_unchanged_after_a_fan_out() {
+        let mine = exec(4, Kernel::Scalar, 20);
+        let after = scoped(mine, || {
+            let _ = ThreadPool::with_workers(2).map(vec![0, 1, 2], |x| x + 1);
+            let mut data = [0u8; 3];
+            ThreadPool::with_workers(3).for_each_mut(&mut data, |_, _| {});
+            current()
+        });
+        assert_eq!(after, mine);
     }
 
     #[test]

@@ -3,7 +3,19 @@
 //! Pools are sized by the `threads` field of the execution context
 //! ([`crate::exec::current`]): a scoped override, else the `MVML_THREADS`
 //! environment variable (read once), else the machine's available
-//! parallelism. Benchmark and table-regeneration runs are reproducible
+//! parallelism.
+//!
+//! Nested fan-outs compose without oversubscribing the cores. Every pool
+//! job runs with a worker share of its spawner's budget: inside it,
+//! `exec::current().threads` is `max(1, parent_threads / workers)` (capped
+//! by the context's own count), where `workers` is the number of threads
+//! that run the call's jobs concurrently. A [`ThreadPool`] call counts the
+//! caller, which runs the first chunk itself; a [`WorkerPool`] counts its
+//! persistent workers and splits the budget of the thread that built it.
+//! A GEMM or a `ThreadPool::new()` inside a job therefore sizes to that
+//! job's slice of the cores.
+//!
+//! Benchmark and table-regeneration runs are reproducible
 //! because every parallelized loop in this workspace partitions work so
 //! that **results are identical for any thread count** — threads only
 //! change which worker computes which disjoint slice, never the
@@ -34,11 +46,21 @@ pub fn bench_thread_sweep() -> Vec<usize> {
 
 /// A scoped fan-out pool over a fixed number of workers.
 ///
-/// Not a persistent pool: workers are scoped threads spawned per call,
-/// which keeps the implementation safe-Rust and borrow-friendly (closures
-/// may borrow from the caller's stack). With one worker every method runs
-/// inline on the calling thread, so `MVML_THREADS=1` gives a genuinely
+/// Not a persistent pool: each call splits its items into one contiguous
+/// chunk per worker, runs the first chunk on the calling thread and the
+/// rest on scoped threads spawned for the call, so `workers − 1` threads
+/// are spawned per call. Scoped threads keep the implementation safe-Rust
+/// and borrow-friendly (closures may borrow from the caller's stack), and
+/// running a chunk inline keeps the caller's memory arena in use instead
+/// of leaving the work's freed memory in fresh threads' arenas. With one
+/// worker every method runs inline, so `MVML_THREADS=1` gives a genuinely
 /// serial, easily-profiled execution.
+///
+/// Each chunk runs as a pool job: [`exec::current`] inside it reports the
+/// chunk's share of the caller's thread budget (see [`crate::exec`]), so
+/// GEMMs and nested pools inside `f` never oversubscribe the cores. A
+/// panic in any chunk, the caller's included, is re-raised on the caller
+/// with its original payload once every chunk has stopped.
 #[derive(Debug, Clone, Copy)]
 pub struct ThreadPool {
     workers: usize,
@@ -84,18 +106,19 @@ impl ThreadPool {
             chunks.push(items);
             items = rest;
         }
+        let share = exec::worker_share(chunks.len());
         let f = &f;
-        let mut gathered: Vec<Vec<T>> = Vec::new();
-        crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .into_iter()
-                .map(|chunk| scope.spawn(move |_| chunk.into_iter().map(f).collect::<Vec<T>>()))
-                .collect();
-            for handle in handles {
-                gathered.push(handle.join().expect("pool worker panicked"));
-            }
-        })
-        .expect("pool scope");
+        let run = move |chunk: Vec<I>| {
+            exec::as_worker(share, || chunk.into_iter().map(f).collect::<Vec<T>>())
+        };
+        let mut chunks = chunks.into_iter();
+        let first = chunks.next().unwrap_or_default();
+        let gathered = std::thread::scope(|scope| {
+            let handles: Vec<_> = chunks.map(|c| scope.spawn(move || run(c))).collect();
+            let mut gathered = vec![run(first)];
+            gathered.extend(handles.into_iter().map(join));
+            gathered
+        });
         gathered.into_iter().flatten().collect()
     }
 
@@ -142,18 +165,33 @@ impl ThreadPool {
             return;
         }
         let chunk = total.div_ceil(self.workers);
+        let share = exec::worker_share(total.div_ceil(chunk));
         let f = &f;
-        crossbeam::thread::scope(|scope| {
-            for (c, slice) in items.chunks_mut(chunk).enumerate() {
-                scope.spawn(move |_| {
-                    for (i, item) in slice.iter_mut().enumerate() {
-                        f(c * chunk + i, item);
-                    }
-                });
-            }
-        })
-        .expect("pool scope");
+        let run = move |c: usize, slice: &mut [T]| {
+            exec::as_worker(share, || {
+                for (i, item) in slice.iter_mut().enumerate() {
+                    f(c * chunk + i, item);
+                }
+            });
+        };
+        let (first, rest) = items.split_at_mut(chunk);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = rest
+                .chunks_mut(chunk)
+                .enumerate()
+                .map(|(c, slice)| scope.spawn(move || run(c + 1, slice)))
+                .collect();
+            run(0, first);
+            handles.into_iter().for_each(join);
+        });
     }
+}
+
+/// Joins a pool thread, re-raising its panic with the original payload.
+fn join<T>(handle: std::thread::ScopedJoinHandle<'_, T>) -> T {
+    handle
+        .join()
+        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
 }
 
 impl Default for ThreadPool {
@@ -210,7 +248,8 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 ///
 /// Jobs run under `catch_unwind`; a panicking job reaches its submitter as
 /// [`PoolError::WorkerPanicked`] while the worker survives for the next
-/// job.
+/// job. Every job runs with its worker's share of the building thread's
+/// budget, `max(1, threads / workers)` (see the module docs).
 #[derive(Debug)]
 pub struct WorkerPool {
     /// Closed (taken) on shutdown so workers see a disconnected queue.
@@ -244,6 +283,7 @@ impl WorkerPool {
     /// A persistent pool with an explicit worker count (≥ 1).
     pub fn with_workers(workers: usize) -> Self {
         let workers = workers.max(1);
+        let share = exec::worker_share(workers);
         let (tx, rx) = mpsc::channel::<Job>();
         let rx = Arc::new(Mutex::new(rx));
         let handles = (0..workers)
@@ -251,15 +291,17 @@ impl WorkerPool {
                 let rx = Arc::clone(&rx);
                 std::thread::Builder::new()
                     .name(format!("mvml-worker-{i}"))
-                    .spawn(move || loop {
-                        let job = {
-                            let guard = rx.lock().unwrap_or_else(|e| e.into_inner());
-                            guard.recv()
-                        };
-                        match job {
-                            Ok(job) => job(),
-                            Err(mpsc::RecvError) => break,
-                        }
+                    .spawn(move || {
+                        exec::as_worker(share, || loop {
+                            let job = {
+                                let guard = rx.lock().unwrap_or_else(|e| e.into_inner());
+                                guard.recv()
+                            };
+                            match job {
+                                Ok(job) => job(),
+                                Err(mpsc::RecvError) => break,
+                            }
+                        })
                     })
                     .unwrap_or_else(|e| {
                         // A host that cannot spawn a thread cannot run the
@@ -385,6 +427,45 @@ mod tests {
             let expect: Vec<usize> = (1..=23).collect();
             assert_eq!(data, expect, "workers = {workers}");
         }
+    }
+
+    #[test]
+    fn panics_reach_the_caller_with_their_original_payload() {
+        let base = exec::current();
+        let mine = exec::Exec { threads: 3, ..base };
+        let payload_of = |bad: u32| {
+            let caught = std::panic::catch_unwind(|| {
+                ThreadPool::with_workers(3).map((0..6).collect(), |i: u32| {
+                    if i == bad {
+                        panic!("chunk item died");
+                    }
+                    i
+                })
+            });
+            let payload = caught.expect_err("the map panics");
+            (payload.downcast_ref::<&str>().copied(), exec::current())
+        };
+        exec::scoped(mine, || {
+            // Item 0 is in the caller's inline chunk, item 5 in a spawned one.
+            for bad in [0, 5] {
+                assert_eq!(
+                    payload_of(bad),
+                    (Some("chunk item died"), mine),
+                    "item {bad}"
+                );
+            }
+            let caught = std::panic::catch_unwind(|| {
+                let mut data = [0u8; 4];
+                ThreadPool::with_workers(2).for_each_mut(&mut data, |i, _| {
+                    if i == 3 {
+                        panic!("slot died");
+                    }
+                });
+            });
+            let payload = caught.expect_err("for_each_mut panics");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"slot died"));
+            assert_eq!(exec::current(), mine);
+        });
     }
 
     #[test]

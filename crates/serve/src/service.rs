@@ -33,7 +33,7 @@ use crate::shard::{RepairKind, Shard, TenantRoundOutcome, TenantState};
 use crate::slo::TenantAccounting;
 use crate::tenant::{build_system, TenantConfig};
 use mvml_core::NVersionSystem;
-use mvml_nn::parallel::{PoolError, WorkerPool};
+use mvml_nn::parallel::{PoolError, ThreadPool, WorkerPool};
 use mvml_obs::{Counter, Gauge, RingBufferSink, TelemetryRecord};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -126,6 +126,13 @@ impl Service {
     /// Builds the service: trains/constructs every tenant's blueprint
     /// system, assigns tenants to shards round-robin over the sorted
     /// tenant order, and spins up one pool worker per shard.
+    ///
+    /// Blueprints are built in parallel, one [`ThreadPool`] job per tenant
+    /// (the caller runs the first chunk). Each job trains under its share
+    /// of the thread budget, so the trainings' GEMMs split the cores
+    /// instead of oversubscribing them, and the weights are bit-identical
+    /// to a serial build. When several tenants fail to build, the error of
+    /// the first in name order is returned.
     pub fn new(tenants: Vec<TenantConfig>, cfg: ServiceConfig) -> Result<Self, ServeError> {
         if tenants.is_empty() {
             return Err(ServeError::Config {
@@ -147,16 +154,17 @@ impl Service {
             }
         }
 
+        let built = ThreadPool::new().map(tenants.iter().collect(), build_system);
         let mut indices = BTreeMap::new();
         let mut assignment = BTreeMap::new();
         let mut blueprints = BTreeMap::new();
         let mut rings = BTreeMap::new();
         let mut shapes = BTreeMap::new();
         let mut accounting = BTreeMap::new();
-        for (i, t) in tenants.iter().enumerate() {
+        for ((i, t), system) in tenants.iter().enumerate().zip(built) {
             indices.insert(t.name.clone(), i);
             assignment.insert(t.name.clone(), i % cfg.shards);
-            blueprints.insert(t.name.clone(), build_system(t)?);
+            blueprints.insert(t.name.clone(), system?);
             if cfg.record_telemetry {
                 rings.insert(
                     t.name.clone(),
@@ -219,6 +227,11 @@ impl Service {
             ));
         }
         shard
+    }
+
+    /// The pristine system `tenant`'s fault domain is (re)built from.
+    pub fn blueprint(&self, tenant: &str) -> Option<&NVersionSystem> {
+        self.blueprints.get(tenant)
     }
 
     /// Tenant names in sorted order.

@@ -1,12 +1,13 @@
 //! The nn determinism contract, end to end: a model forward pass and a raw
 //! GEMM give bit-identical output under every execution context — any
 //! thread count, any microkernel this host supports, any cache-block
-//! tuning.
+//! tuning — and inside a pool job, whose thread budget is a worker share.
 
 use resilient_perception::nn::exec::{current, scoped, Exec};
 use resilient_perception::nn::gemm::{available_kernels, gemm};
 use resilient_perception::nn::layer::Layer;
 use resilient_perception::nn::models::lenet_mini;
+use resilient_perception::nn::parallel::ThreadPool;
 use resilient_perception::nn::tune::Tuning;
 use resilient_perception::nn::Tensor;
 
@@ -83,5 +84,23 @@ fn gemm_is_bit_identical_in_every_context() {
     let reference = run(current());
     for exec in contexts() {
         assert_eq!(run(exec), reference, "{exec:?}");
+    }
+}
+
+#[test]
+fn lenet_forward_inside_a_pool_job_matches_outside() {
+    let (batch, size) = (4, 16);
+    let x = Tensor::from_vec(&[batch, 1, size, size], fill(batch * size * size, 9));
+    let model = lenet_mini(size, 5, 4);
+    for exec in contexts() {
+        let (outside, inside) = scoped(exec, || {
+            let outside = bits(model.clone().forward(&x, false).as_slice());
+            let inside = ThreadPool::with_workers(2)
+                .map(vec![model.clone(), model.clone()], |mut m| {
+                    bits(m.forward(&x, false).as_slice())
+                });
+            (outside, inside)
+        });
+        assert_eq!(inside, vec![outside.clone(), outside], "{exec:?}");
     }
 }
