@@ -160,10 +160,34 @@ pub fn training_scenes(
         .collect()
 }
 
-/// Trains a detector on synthetic scenes; returns the final epoch's mean
-/// BCE loss.
+/// Trains a detector on `cfg.scenes` synthetic scenes generated from
+/// `cfg.seed`; returns the final epoch's mean BCE loss.
+///
+/// # Panics
+///
+/// Panics if `cfg.scenes` or `cfg.batch` is zero.
 pub fn train_detector(model: &mut Sequential, cfg: &DetectorTrainConfig) -> f32 {
-    let scenes = training_scenes(cfg, cfg.scenes, cfg.seed);
+    train_detector_on(model, &training_scenes(cfg, cfg.scenes, cfg.seed), cfg)
+}
+
+/// Trains a detector on the given `(noisy input, clean target)` scenes
+/// (one [`training_scenes`] set can be shared by several models); returns
+/// the final epoch's mean BCE loss. `cfg.scenes` is ignored: `scenes`
+/// sets the count.
+///
+/// # Panics
+///
+/// Panics if `scenes` is empty or `cfg.batch` is zero.
+pub fn train_detector_on(
+    model: &mut Sequential,
+    scenes: &[(Tensor, Tensor)],
+    cfg: &DetectorTrainConfig,
+) -> f32 {
+    assert!(
+        !scenes.is_empty(),
+        "detector training needs at least one scene"
+    );
+    assert!(cfg.batch > 0, "detector batch must be positive");
     let mut opt = Sgd::new(cfg.lr).with_momentum(0.9);
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x5EED);
     let mut last_epoch_loss = f32::INFINITY;
@@ -177,7 +201,7 @@ pub fn train_detector(model: &mut Sequential, cfg: &DetectorTrainConfig) -> f32 
         let mut total = 0.0f64;
         let mut batches = 0;
         for chunk in order.chunks(cfg.batch) {
-            let (x, t) = stack(&scenes, chunk);
+            let (x, t) = stack(scenes, chunk);
             let logits = model.forward(&x, true);
             let (loss, grad) = bce_with_logits_weighted(&logits, &t, cfg.pos_weight);
             model.backward(&grad);
@@ -206,9 +230,13 @@ fn stack(scenes: &[(Tensor, Tensor)], idx: &[usize]) -> (Tensor, Tensor) {
 
 /// Decodes a `[1, 1, CELLS, CELLS]` logit map into the set of cells whose
 /// objectness probability exceeds `threshold`.
+///
+/// # Panics
+///
+/// Panics unless `threshold` lies in the open interval (0, 1).
 pub fn decode(logits: &Tensor, threshold: f32) -> DetectionSet {
     assert!(
-        (0.0..1.0).contains(&threshold),
+        threshold > 0.0 && threshold < 1.0,
         "threshold must be in (0,1)"
     );
     let logit_threshold = (threshold / (1.0 - threshold)).ln();
@@ -352,5 +380,33 @@ mod tests {
     fn decode_rejects_bad_threshold() {
         let logits = Tensor::zeros(&[1, 1, CELLS, CELLS]);
         let _ = decode(&logits, 1.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "threshold")]
+    fn decode_rejects_zero_threshold() {
+        // ln(0) = -inf would flag every cell.
+        let logits = Tensor::zeros(&[1, 1, CELLS, CELLS]);
+        let _ = decode(&logits, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one scene")]
+    fn training_rejects_zero_scenes() {
+        let cfg = DetectorTrainConfig {
+            scenes: 0,
+            ..tiny_cfg()
+        };
+        let _ = train_detector(&mut yolo_mini("t", 2, 0), &cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "batch must be positive")]
+    fn training_rejects_zero_batch() {
+        let cfg = DetectorTrainConfig {
+            batch: 0,
+            ..tiny_cfg()
+        };
+        let _ = train_detector(&mut yolo_mini("t", 2, 0), &cfg);
     }
 }

@@ -3,7 +3,7 @@
 
 use crate::bev::{add_sensor_noise, CELLS};
 use crate::detector::{
-    decode, train_detector, yolo_mini, DetectionSet, DetectorTrainConfig, VARIANTS,
+    decode, train_detector_on, yolo_mini, DetectionSet, DetectorTrainConfig, VARIANTS,
 };
 use mvml_core::rejuvenation::{ProcessConfig, StateEvent, StateProcess, TimedEvent};
 use mvml_core::watchdog::{FaultEvent, FaultEventKind, FaultLog, Watchdog, WatchdogConfig};
@@ -138,19 +138,19 @@ pub struct DetectorBank {
 }
 
 impl DetectorBank {
-    /// Trains the three YOLO-mini variants (s/m/l analogues), fanned out
-    /// across [`ThreadPool`] workers (`MVML_THREADS`). Each variant trains
-    /// from its own seed with no shared mutable state, so the resulting
-    /// bank is identical for any thread count.
+    /// Trains the three YOLO-mini variants (s/m/l analogues) from their own
+    /// seeds on one shared set of scenes, fanned out across [`ThreadPool`]
+    /// workers; every thread count gives the same bank.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.scenes` or `cfg.batch` is zero.
     pub fn train(cfg: &DetectorTrainConfig) -> Self {
-        let jobs: Vec<(usize, &str, usize)> = VARIANTS
-            .iter()
-            .enumerate()
-            .map(|(i, (name, channels))| (i, *name, *channels))
-            .collect();
-        let models = ThreadPool::new().map(jobs, |(i, name, channels)| {
+        let scenes = crate::detector::training_scenes(cfg, cfg.scenes, cfg.seed);
+        let jobs: Vec<(usize, &(&str, usize))> = VARIANTS.iter().enumerate().collect();
+        let models = ThreadPool::new().map(jobs, |(i, &(name, channels))| {
             let mut m = yolo_mini(name, channels, cfg.seed + i as u64);
-            let _ = train_detector(&mut m, cfg);
+            let _ = train_detector_on(&mut m, &scenes, cfg);
             m
         });
         DetectorBank { models }
@@ -614,7 +614,7 @@ mod tests {
         let models = (0..3)
             .map(|i| {
                 let mut m = yolo_mini("tiny", 4, i);
-                let _ = train_detector(
+                let _ = crate::detector::train_detector(
                     &mut m,
                     &DetectorTrainConfig {
                         seed: 38 + i,

@@ -1,7 +1,14 @@
-//! Per-shape direct-vs-GEMM convolution timing (detector inference shapes,
-//! LeNet-style training shapes). The `KernelPath::Auto` thresholds in
-//! `mvml_nn::layers::Conv2d` were measured with this probe — re-run it when
-//! retuning them for a new host.
+//! Per-shape convolution timing, in two tables:
+//!
+//! 1. direct vs GEMM inference forwards (detector shapes, LeNet-style
+//!    training shapes). The `KernelPath::Auto` thresholds in
+//!    `mvml_nn::layers::Conv2d` were measured with this table — re-run it
+//!    when retuning them for a new host.
+//! 2. `forward(train=true)` and `backward` on the shapes `Auto` trains on
+//!    the direct path: the three yolomini detector layers at batch 16 and
+//!    the lenet/alexnet stems at batch 32 (min of 30 samples).
+//!
+//! Run with `cargo run --release --example conv_probe`.
 // Demo code: aborting on a broken step is the desired behaviour, so
 // unwrap/expect are allowed file-wide.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -24,6 +31,16 @@ fn median_ns(samples: usize, iters: usize, mut f: impl FnMut()) -> f64 {
     }
     v.sort_by(|a, b| a.partial_cmp(b).unwrap());
     v[v.len() / 2]
+}
+
+fn min_ns(samples: usize, mut f: impl FnMut()) -> f64 {
+    (0..samples)
+        .map(|_| {
+            let t = Instant::now();
+            f();
+            t.elapsed().as_nanos() as f64
+        })
+        .fold(f64::INFINITY, f64::min)
 }
 
 fn main() {
@@ -58,6 +75,45 @@ fn main() {
         println!(
             "{label}: direct {d:.0} ns, gemm {g:.0} ns, speedup {:.2}x",
             d / g
+        );
+    }
+
+    println!();
+    let mut train_shapes: Vec<(String, usize, usize, usize, usize, usize)> = Vec::new();
+    for (name, ch) in [("s", 4), ("m", 6), ("l", 8)] {
+        train_shapes.push((format!("yolomini-{name} 1->{ch} k3"), 1, ch, 3, 1, 16));
+        train_shapes.push((format!("yolomini-{name} {ch}->{ch} k3"), ch, ch, 3, 1, 16));
+        train_shapes.push((format!("yolomini-{name} {ch}->1 k1"), ch, 1, 1, 0, 16));
+    }
+    train_shapes.push(("lenet conv1 1->6 k5".into(), 1, 6, 5, 0, 32));
+    train_shapes.push(("alexnet conv1 1->8 k3".into(), 1, 8, 3, 1, 32));
+    let hw = 32;
+    for (label, ic, oc, k, pad, n) in train_shapes {
+        let x = Tensor::from_vec(
+            &[n, ic, hw, hw],
+            (0..n * ic * hw * hw)
+                .map(|i| ((i * 13) % 29) as f32 / 29.0 - 0.5)
+                .collect(),
+        );
+        let mut rng = StdRng::seed_from_u64(38);
+        let mut conv = Conv2d::new(ic, oc, k, pad, &mut rng);
+        let y = conv.forward(&x, true);
+        let gout = Tensor::from_vec(
+            y.shape(),
+            (0..y.len())
+                .map(|i| ((i * 7) % 17) as f32 / 17.0 - 0.5)
+                .collect(),
+        );
+        let fwd = min_ns(30, || {
+            std::hint::black_box(conv.forward(std::hint::black_box(&x), true));
+        });
+        let bwd = min_ns(30, || {
+            std::hint::black_box(conv.backward(std::hint::black_box(&gout)));
+        });
+        println!(
+            "{label} b{n}: forward(train) {:.3} ms, backward {:.3} ms",
+            fwd / 1e6,
+            bwd / 1e6
         );
     }
 }
