@@ -88,6 +88,9 @@ for p in json.load(sys.stdin)["packages"]:
 
 gate_test() {
   cargo test --workspace -q
+  # The `reference` feature pins every convolution to the direct kernels;
+  # the default build runs the channel-rich layers on GEMM instead.
+  cargo test -q -p mvml-nn --features reference
 }
 
 gate_analyze() {

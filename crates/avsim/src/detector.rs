@@ -204,7 +204,7 @@ pub fn train_detector_on(
             let (x, t) = stack(scenes, chunk);
             let logits = model.forward(&x, true);
             let (loss, grad) = bce_with_logits_weighted(&logits, &t, cfg.pos_weight);
-            model.backward(&grad);
+            model.backward_params(&grad);
             opt.step(model);
             total += f64::from(loss);
             batches += 1;

@@ -30,9 +30,14 @@
 //! materializing a transpose:
 //!
 //! - [`gemm`]: `C = A·B` (forward passes)
-//! - [`gemm_tn`]: `C = Aᵀ·B` (weight-space gradients, `Wᵀ·dY`)
-//! - [`gemm_nt`] / [`gemm_nt_acc`]: `C (+)= A·Bᵀ` (input-space gradients,
-//!   `dY·colᵀ` accumulation)
+//! - [`gemm_tn`] / [`gemm_tn_acc`]: `C (+)= Aᵀ·B`
+//! - [`gemm_nt`] / [`gemm_nt_acc`]: `C (+)= A·Bᵀ`
+//!
+//! Each transposed orientation serves both gradient roles, depending on
+//! how the layer stores its operands: a convolution's input gradient is
+//! `Wᵀ·dY` (`gemm_tn`) and its weight gradient `dY·colᵀ` (`gemm_nt_acc`),
+//! while a dense layer's weight gradient is `Xᵀ·dY` (`gemm_tn_acc`) and its
+//! input gradient `dY·Wᵀ` (`gemm_nt`).
 //!
 //! ## Determinism
 //!
@@ -576,7 +581,7 @@ unsafe fn stream_cols(
     let mut j0 = j_lo;
     while j0 < j_hi {
         let live = NR.min(j_hi - j0);
-        for (pc_idx, pc) in (0..k).step_by(KC).enumerate() {
+        for pc in (0..k).step_by(KC) {
             let kc = KC.min(k - pc);
             let b_tile: &[f32] = if live == NR {
                 // Rows pc..pc+kc at stride n, NR columns from j0: the last
@@ -600,7 +605,6 @@ unsafe fn stream_cols(
                     }
                 }
             }
-            let _ = pc_idx;
         }
         j0 += NR;
     }

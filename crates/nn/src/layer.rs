@@ -41,6 +41,19 @@ pub trait Layer: Send + Sync {
     /// `forward(…, train = true)`.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor;
 
+    /// Back-propagates `grad_out` into the parameter gradients only: the
+    /// same accumulation as [`Layer::backward`], without the gradient
+    /// w.r.t. the input. Training calls it where nothing reads that
+    /// gradient (the bottom of a stack). The default runs `backward` and
+    /// drops its result.
+    ///
+    /// # Panics
+    ///
+    /// As [`Layer::backward`].
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        let _ = self.backward(grad_out);
+    }
+
     /// Mutable access to all parameters (empty for stateless layers).
     fn params(&mut self) -> Vec<Param<'_>> {
         Vec::new()

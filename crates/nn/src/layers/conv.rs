@@ -7,25 +7,39 @@
 //!   all output channels with a single cache-blocked [`crate::gemm`] call.
 //!   The backward pass reuses the cached patch matrix — `dW` is a
 //!   `dy · colᵀ` product and the input gradient is a `Wᵀ · dy` product
-//!   scattered back (col2im).
+//!   scattered back (col2im) — and the next training forward refills that
+//!   matrix's allocation.
 //! - **Direct path** (default for few output channels or a shallow
-//!   reduction): nested loops over a zero-padded input. It is the
-//!   production training kernel for every detector layer and for the
-//!   `lenet`/`alexnet` stems, and what the `reference` cargo feature or
-//!   [`Conv2d::set_kernel_path`] force everywhere. Its backward runs the
-//!   weight-gradient sums of up to 16 images side by side as SIMD lanes.
+//!   reduction): loops over a zero-padded input. It is the production
+//!   training kernel for every detector layer and for the `lenet`/`alexnet`
+//!   stems, and what the `reference` cargo feature or
+//!   [`Conv2d::set_kernel_path`] force everywhere. Three kernels:
+//!   - the forward ([`forward_rows`]) and the input gradient
+//!     ([`input_grad_rows`]) keep a block of `ROWS` output rows × a segment
+//!     of up to `SEG` lanes in registers while they walk every tap, so each
+//!     output value is read and written once, not once per tap. Segments
+//!     cover any width; the last one may be partial, its spare lanes
+//!     computed on padding and dropped;
+//!   - the weight and bias gradients run the sums of up to 16 images side
+//!     by side as SIMD lanes ([`weight_grad_block`]).
 //!
 //! Each path fixes the order in which every output element sums its
 //! terms, so each is bitwise deterministic for any thread count and SIMD
 //! width. The direct path's orders:
 //!
 //! - forward: `y = bias`, then `+ w·x` over `(ic, ky, kx)`, zero weights
-//!   skipped;
+//!   skipped (padding is read as `x = 0`);
 //! - `grad_b[oc]`: per image in order, that image's `dy` plane summed in
-//!   row-major order;
+//!   row-major order from the neutral element of `f32`'s `Sum`;
 //! - `grad_w[oc, ic, ky, kx]`: per image in order, `+ (((0 + g₀x₀) + g₁x₁)
 //!   + …)` over `(oy, ox)` in row-major order;
-//! - input gradient: per element, `0 + g·w` over `(oc, ky, kx)`.
+//! - input gradient: per element, `+0.0 + g·w` over `(oc, ky, kx)`; a tap
+//!   that lands outside the output image contributes nothing (a lane
+//!   select skips it, so a non-finite weight never meets a border zero).
+//!
+//! A training step that needs no input gradient (the first layer of a
+//! stack) calls [`Layer::backward_params`], which runs only the parameter
+//! half of the backward.
 //!
 //! Both paths produce gradients verified against numerical differentiation;
 //! forward outputs agree to float tolerance (the two paths sum products in
@@ -92,10 +106,37 @@ fn block_width(rest: usize) -> usize {
     rest.min(LANES).next_power_of_two()
 }
 
+/// Rows per register block of [`forward_rows`] and [`input_grad_rows`].
+const ROWS: usize = 2;
+
+/// Widest lane segment of [`forward_rows`] and [`input_grad_rows`].
+const SEG: usize = 32;
+
+/// Lane segment for planes `width` values wide: the narrowest of 8, 16 and
+/// `SEG` that holds the row, so narrow planes waste few spare lanes.
+fn seg_width(width: usize) -> usize {
+    width.next_power_of_two().clamp(8, SEG)
+}
+
+/// Signature of [`forward_rows`] at every segment width.
+type ForwardFn = fn(&[f32], &[(usize, f32)], &[usize], &[f32], usize, [usize; 2], &mut PlaneSink);
+
+/// Signature of [`input_grad_rows`] at every segment width.
+type InputGradFn = fn(
+    &[f32],
+    &[(usize, f32, usize, usize)],
+    &[u32],
+    [usize; 4],
+    [usize; 2],
+    [usize; 2],
+    &mut PlaneSink,
+);
+
 thread_local! {
-    /// The image-minor `dy` block of [`Conv2d::backward_direct`], reused
-    /// across calls and layers on this thread rather than allocated per
-    /// call. Pure workspace: every element read was written in the same
+    /// The workspace of the direct backward: the image-minor `dy`
+    /// block of the weight gradient, then the bordered `dy` window of the
+    /// input gradient. Reused across calls and layers on this thread rather
+    /// than allocated per call. Every element read was written in the same
     /// call.
     static DY_BLOCK: std::cell::Cell<Vec<f32>> = const { std::cell::Cell::new(Vec::new()) };
 }
@@ -206,18 +247,6 @@ impl Conv2d {
         )
     }
 
-    /// Copies `x` (`[N, C, H, W]`) into a zero-padded buffer
-    /// `[N, C, H+2p, W+2p]`, so the convolution loops need no bounds checks
-    /// and vectorise.
-    fn pad_input(&self, x: &Tensor, n: usize, c: usize, h: usize, w: usize) -> Vec<f32> {
-        pad_input(x, n, c, h, w, self.padding)
-    }
-
-    /// Lowers the whole batch to one im2col patch matrix — see [`im2col`].
-    fn build_col(&self, x: &Tensor, n: usize, c: usize, h: usize, w: usize) -> Vec<f32> {
-        im2col(x, n, c, h, w, self.kernel, self.padding)
-    }
-
     /// Scatters one image's slice of the batched patch-matrix gradient back
     /// into its padded input gradient (col2im): overlapping receptive
     /// fields accumulate. `colgrad` has row stride `cols`; image `img`
@@ -273,11 +302,15 @@ impl Conv2d {
 
     /// GEMM forward: one batched product
     /// `tmp[OC, N·OH·OW] = W[OC, C·K·K] · col`, then a contiguous
-    /// scatter-with-bias into the `[N, OC, OH, OW]` output layout.
+    /// scatter-with-bias into the `[N, OC, OH, OW]` output layout. `col`
+    /// is refilled in place (a training call passes the previous step's
+    /// patch matrix).
+    #[allow(clippy::too_many_arguments)]
     fn forward_gemm(
         &mut self,
         x: &Tensor,
         train: bool,
+        mut col: Vec<f32>,
         n: usize,
         c: usize,
         h: usize,
@@ -286,7 +319,7 @@ impl Conv2d {
         let (oh, ow) = self.out_hw(h, w);
         let (ckk, ohow) = (c * self.kernel * self.kernel, oh * ow);
         let cols = n * ohow;
-        let col = self.build_col(x, n, c, h, w);
+        im2col(x, n, c, h, w, self.kernel, self.padding, &mut col);
         let mut tmp = vec![0.0f32; self.out_channels * cols];
         gemm::gemm(
             self.out_channels,
@@ -314,23 +347,21 @@ impl Conv2d {
         out
     }
 
-    /// GEMM backward against the cached batched patch matrix:
-    /// `dW += dy · colᵀ` ([`gemm::gemm_nt_acc`]), `dcol = Wᵀ · dy`
-    /// ([`gemm::gemm_tn`]) scattered back via col2im — each a single
-    /// batched product over all images.
-    fn backward_gemm(
+    /// GEMM parameter gradients against the cached batched patch matrix:
+    /// `dW += dy · colᵀ` ([`gemm::gemm_nt_acc`]), one batched product over
+    /// all images. Returns `dy` regrouped to `[OC, N·OH·OW]` for
+    /// [`Conv2d::input_grad_gemm`].
+    fn param_grads_gemm(
         &mut self,
         grad_out: &Tensor,
         col: &[f32],
         n: usize,
         h: usize,
         w: usize,
-    ) -> Tensor {
-        let c = self.in_channels;
-        let (k, p) = (self.kernel, self.padding);
+    ) -> Vec<f32> {
         let (oh, ow) = self.out_hw(h, w);
-        let (ckk, ohow) = (c * k * k, oh * ow);
-        let (ph, pw) = (h + 2 * p, w + 2 * p);
+        let ckk = self.in_channels * self.kernel * self.kernel;
+        let ohow = oh * ow;
         let cols = n * ohow;
         let gs = grad_out.as_slice();
         let gb = self.grad_b.as_mut_slice();
@@ -353,13 +384,26 @@ impl Conv2d {
             col,
             self.grad_w.as_mut_slice(),
         );
+        dy
+    }
+
+    /// GEMM input gradient: `dcol = Wᵀ · dy` ([`gemm::gemm_tn`]) over the
+    /// regrouped `dy` of [`Conv2d::param_grads_gemm`], scattered back via
+    /// col2im.
+    fn input_grad_gemm(&self, dy: &[f32], n: usize, h: usize, w: usize) -> Tensor {
+        let c = self.in_channels;
+        let (k, p) = (self.kernel, self.padding);
+        let (oh, ow) = self.out_hw(h, w);
+        let ckk = c * k * k;
+        let (ph, pw) = (h + 2 * p, w + 2 * p);
+        let cols = n * oh * ow;
         let mut colgrad = vec![0.0f32; ckk * cols];
         gemm::gemm_tn(
             ckk,
             self.out_channels,
             cols,
             self.weight.as_slice(),
-            &dy,
+            dy,
             &mut colgrad,
         );
         let mut gipad = vec![0.0f32; n * c * ph * pw];
@@ -370,8 +414,11 @@ impl Conv2d {
         self.unpad(&gipad, n, c, h, w)
     }
 
-    /// Direct-loop forward (summation order in the module docs), vectorised
-    /// over `ox`. A training call caches the input for the backward pass.
+    /// Direct forward: per image, pads the input planes, with the spare
+    /// rows and lanes that the last row block and segment read past the
+    /// image, and runs [`forward_rows`] (summation order in the module
+    /// docs). A training call caches the input for the backward pass, in
+    /// `spare`'s allocation.
     #[allow(clippy::too_many_arguments)]
     fn forward_direct(
         &mut self,
@@ -383,71 +430,74 @@ impl Conv2d {
         h: usize,
         w: usize,
     ) -> Tensor {
-        let xpad = self.pad_input(x, n, c, h, w);
         let (oh, ow) = self.out_hw(h, w);
-        let k = self.kernel;
-        let (ph, pw) = (h + 2 * self.padding, w + 2 * self.padding);
-        let ws = self.weight.as_slice();
-        let bs = self.bias.as_slice();
-        let mut out = Tensor::zeros(&[n, self.out_channels, oh, ow]);
-        let os = out.as_mut_slice();
-        for img in 0..n {
-            for (oc, &bias) in bs.iter().enumerate() {
-                let o_base = ((img * self.out_channels) + oc) * oh * ow;
-                os[o_base..o_base + oh * ow].fill(bias);
-                for ic in 0..c {
-                    let x_base = ((img * c) + ic) * ph * pw;
-                    let w_base = ((oc * c) + ic) * k * k;
-                    for ky in 0..k {
-                        for kx in 0..k {
-                            let weight = ws[w_base + ky * k + kx];
-                            if weight == 0.0 {
-                                continue;
-                            }
-                            for oy in 0..oh {
-                                let xrow = x_base + (oy + ky) * pw + kx;
-                                let orow = o_base + oy * ow;
-                                let (xr, or) = (&xpad[xrow..xrow + ow], &mut os[orow..orow + ow]);
-                                for (o, &v) in or.iter_mut().zip(xr) {
-                                    *o += weight * v;
-                                }
-                            }
-                        }
-                    }
+        let (oc_n, k) = (self.out_channels, self.kernel);
+        let seg = seg_width(ow);
+        let ph = oh.next_multiple_of(ROWS) + k - 1;
+        let pw = ow.next_multiple_of(seg) + k - 1;
+        // The non-zero taps of each output channel in `(ic, ky, kx)` order,
+        // as offsets into an image's padded planes; `ends[oc]` closes
+        // channel `oc`'s run.
+        let ckk = c * k * k;
+        let mut taps = Vec::with_capacity(oc_n * ckk);
+        let mut ends = Vec::with_capacity(oc_n);
+        for wo in self.weight.as_slice().chunks_exact(ckk) {
+            for (t, &wv) in wo.iter().enumerate() {
+                if wv != 0.0 {
+                    let (ic, ky, kx) = (t / (k * k), t / k % k, t % k);
+                    taps.push(((ic * ph + ky) * pw + kx, wv));
                 }
             }
+            ends.push(taps.len());
         }
+        let kernel: ForwardFn = match seg {
+            8 => forward_rows::<8>,
+            16 => forward_rows::<16>,
+            _ => forward_rows::<SEG>,
+        };
+        let mut sink = PlaneSink::new(n * oc_n * oh * ow, ow);
+        // One image at a time, padded into a reused buffer whose borders
+        // stay zero.
+        let mut xpad = vec![0.0f32; c * ph * pw];
+        for xi in x.as_slice().chunks_exact(c * h * w) {
+            pad_planes(xi, [h, w], self.padding, [ph, pw], &mut xpad);
+            kernel(
+                &xpad,
+                &taps,
+                &ends,
+                self.bias.as_slice(),
+                pw,
+                [oh, ow],
+                &mut sink,
+            );
+        }
+        let out = Tensor::from_vec(&[n, oc_n, oh, ow], sink.out);
         if train {
             // Only the weight gradient reads the input back, in lanes:
-            // cache it in that layout (the same size as `xpad` for whole
-            // lane blocks), built after `xpad` is freed.
-            drop(xpad);
+            // cache it in that layout.
             let xt = image_minor(x, n, c, h, w, self.padding, spare);
             self.cache = Some(ConvCache::Padded { xt, n, h, w });
         }
         out
     }
 
-    /// Direct-loop backward against the cached image-minor padded input
-    /// `xt`, in the summation orders of the module docs — the orders of the
-    /// fused loop this kernel replaced, so its results are bit-identical:
-    ///
-    /// - `grad_w`: the chains of the images of a lane block are
-    ///   independent, so they run as the lanes of one `[f32; W]`
-    ///   accumulator (separate multiply and add, never fused) over `dy`
-    ///   regrouped image-minor, then land in `grad_w` in image order (see
-    ///   [`weight_grad_block`]). Blocks hold `LANES` images except the last,
-    ///   which is [`block_width`] wide; its spare lanes compute on zeros
-    ///   and are dropped.
-    /// - input gradient: a loop of its own, vectorised over `ox`.
-    fn backward_direct(
+    /// Direct parameter gradients against the cached image-minor padded
+    /// input `xt`, in the summation orders of the module docs — the orders
+    /// of the fused loop this kernel replaced, so its results are
+    /// bit-identical. The `grad_w` and `grad_b` chains of the images of a
+    /// lane block are independent, so they run as the lanes of `[f32; W]`
+    /// accumulators (separate multiply and add, never fused) over `dy`
+    /// regrouped image-minor into `ws`, then land in the gradients in image
+    /// order (see [`weight_grad_block`]). Blocks hold `LANES` images except
+    /// the last, which is [`block_width`] wide; its spare lanes compute on
+    /// zeros and are dropped.
+    fn param_grads_direct(
         &mut self,
-        grad_out: &Tensor,
+        gs: &[f32],
         xt: &[f32],
-        n: usize,
-        h: usize,
-        w: usize,
-    ) -> Tensor {
+        [n, h, w]: [usize; 3],
+        ws: &mut Vec<f32>,
+    ) {
         let (oc_n, c, k, p) = (
             self.out_channels,
             self.in_channels,
@@ -457,20 +507,13 @@ impl Conv2d {
         let (oh, ow) = self.out_hw(h, w);
         let ohow = oh * ow;
         let (ph, pw) = (h + 2 * p, w + 2 * p);
-        let gs = grad_out.as_slice();
-        for img in 0..n {
-            for (oc, gb_v) in self.grad_b.as_mut_slice().iter_mut().enumerate() {
-                *gb_v += gs[(img * oc_n + oc) * ohow..][..ohow].iter().sum::<f32>();
-            }
-        }
-
         let gw = self.grad_w.as_mut_slice();
-        let mut dy_block = DY_BLOCK.take();
-        dy_block.resize(oc_n * ohow * LANES, 0.0);
+        let gb = self.grad_b.as_mut_slice();
+        ws.resize(oc_n * ohow * LANES, 0.0);
         let xplane = c * ph * pw;
         for b0 in (0..n).step_by(LANES) {
             let width = block_width(n - b0);
-            let dyt = &mut dy_block[..oc_n * ohow * width];
+            let dyt = &mut ws[..oc_n * ohow * width];
             to_lanes(gs, oc_n * ohow, 0, n, b0, width, dyt);
             let xb = &xt[b0 * xplane..][..width * xplane];
             let block: BlockFn = match width {
@@ -484,49 +527,153 @@ impl Conv2d {
                 dyt,
                 xb,
                 (n - b0).min(width),
-                [oc_n, c, k],
+                [c, k],
                 [ph, pw, oh, ow],
                 gw,
+                gb,
             );
         }
-        DY_BLOCK.set(dy_block);
+    }
 
-        let ws = self.weight.as_slice();
-        // Only the unpadded input gradient is returned, so each row update is
-        // clipped to it: padded row `oy + ky` is input row `oy + ky - p`, and
-        // likewise for columns.
-        let mut grad_in = Tensor::zeros(&[n, c, h, w]);
-        let gi = grad_in.as_mut_slice();
-        let clip = |t: usize, len: usize, out: usize| {
-            let start = p.saturating_sub(t);
-            start..(len + p).saturating_sub(t).min(out).max(start)
+    /// Direct input gradient: [`input_grad_rows`] per image, reading that
+    /// image's `dy` through a window in which input `(y, x)` and
+    /// tap `(ky, kx)` find their term at row `y + K-1-ky`, column
+    /// `x + K-1-kx`. When every read of the row blocks and segments lands
+    /// inside `dy` (`P ≥ K-1` and no spare rows or lanes) the window is
+    /// `dy` itself; otherwise each image's `dy` is copied into a
+    /// zero-bordered window in `ws`.
+    fn input_grad_direct(&self, gs: &[f32], [n, h, w]: [usize; 3], ws: &mut Vec<f32>) -> Tensor {
+        let (oc_n, c, k, p) = (
+            self.out_channels,
+            self.in_channels,
+            self.kernel,
+            self.padding,
+        );
+        let (oh, ow) = self.out_hw(h, w);
+        let seg = seg_width(w);
+        let (h2, w2) = (h.next_multiple_of(ROWS), w.next_multiple_of(seg));
+        let in_place = p + 1 >= k && h2 == h && w2 == w;
+        // Window plane stride, row stride, and the offset of window (0, 0):
+        // in place, window row `r` is dy row `r + P-(K-1)`, and likewise
+        // for columns.
+        let (splane, srow, origin) = if in_place {
+            (oh * ow, ow, (p + 1 - k) * (ow + 1))
+        } else {
+            let (sh, sw) = (h2 + k - 1, w2 + k - 1);
+            ws.clear();
+            ws.resize(oc_n * sh * sw, 0.0);
+            (sh * sw, sw, 0)
         };
-        for img in 0..n {
+        // Per input channel, its taps in `(oc, ky, kx)` order as (window
+        // offset, weight, ky, kx).
+        let wts = self.weight.as_slice();
+        let mut taps = Vec::with_capacity(c * oc_n * k * k);
+        for ic in 0..c {
             for oc in 0..oc_n {
-                let g_base = (img * oc_n + oc) * ohow;
-                for ic in 0..c {
-                    let plane = &mut gi[(img * c + ic) * h * w..][..h * w];
-                    let w_base = (oc * c + ic) * k * k;
-                    for ky in 0..k {
-                        for kx in 0..k {
-                            let weight = ws[w_base + ky * k + kx];
-                            let oxs = clip(kx, w, ow);
-                            if oxs.is_empty() {
-                                continue;
-                            }
-                            let col = oxs.start + kx - p;
-                            for oy in clip(ky, h, oh) {
-                                let gr = &gs[g_base + oy * ow..][oxs.clone()];
-                                let gir = &mut plane[(oy + ky - p) * w + col..][..gr.len()];
-                                for (gi_v, &g) in gir.iter_mut().zip(gr) {
-                                    *gi_v += g * weight;
-                                }
-                            }
-                        }
-                    }
+                for (t, &wv) in wts[(oc * c + ic) * k * k..][..k * k].iter().enumerate() {
+                    let (ky, kx) = (t / k, t % k);
+                    let off = oc * splane + (k - 1 - ky) * srow + (k - 1 - kx);
+                    taps.push((off, wv, ky, kx));
                 }
             }
         }
+        // Per segment and `kx`, which lanes land inside the output's
+        // columns (`0 ≤ x + P - kx < OW`): all-ones or zero.
+        let mut masks = Vec::with_capacity(w2 * k);
+        for x0 in (0..w).step_by(seg) {
+            for kx in 0..k {
+                masks.extend((x0..x0 + seg).map(|x| {
+                    if (x + p).wrapping_sub(kx) < ow {
+                        u32::MAX
+                    } else {
+                        0
+                    }
+                }));
+            }
+        }
+        // With `P ≥ K-1` every tap of a real input position lands inside
+        // the output, so no lane needs the select.
+        let kernel: InputGradFn = match (seg, p + 1 >= k) {
+            (8, false) => input_grad_rows::<8, true>,
+            (16, false) => input_grad_rows::<16, true>,
+            (_, false) => input_grad_rows::<SEG, true>,
+            (8, true) => input_grad_rows::<8, false>,
+            (16, true) => input_grad_rows::<16, false>,
+            (_, true) => input_grad_rows::<SEG, false>,
+        };
+        let mut sink = PlaneSink::new(n * c * h * w, w);
+        let dy_len = oc_n * oh * ow;
+        for dy in gs.chunks_exact(dy_len) {
+            let src: &[f32] = if in_place {
+                dy
+            } else {
+                // dy (oy, ox) sits at window (oy + K-1-P, ox + K-1-P);
+                // rows and columns that fall outside the window are never
+                // read for a real input position.
+                let shift = (k - 1) as isize - p as isize;
+                let cols = ow.min((srow as isize - shift) as usize);
+                let (ox0, dst_col) = if shift < 0 {
+                    ((-shift) as usize, 0)
+                } else {
+                    (0, shift as usize)
+                };
+                for (oc, plane) in dy.chunks_exact(oh * ow).enumerate() {
+                    for (oy, grow) in plane.chunks_exact(ow).enumerate() {
+                        let r = oy as isize + shift;
+                        if r < 0 || r as usize >= splane / srow {
+                            continue;
+                        }
+                        let run = &grow[ox0..cols.max(ox0)];
+                        ws[oc * splane + r as usize * srow + dst_col..][..run.len()]
+                            .copy_from_slice(run);
+                    }
+                }
+                ws
+            };
+            kernel(
+                src,
+                &taps,
+                &masks,
+                [k, p, oh, oc_n],
+                [srow, origin],
+                [h, w],
+                &mut sink,
+            );
+        }
+        Tensor::from_vec(&[n, c, h, w], sink.out)
+    }
+
+    /// The backward shared by [`Layer::backward`] and
+    /// [`Layer::backward_params`]: parameter gradients always, the input
+    /// gradient only when `input_grad` asks for it.
+    fn backward_impl(&mut self, grad_out: &Tensor, input_grad: bool) -> Option<Tensor> {
+        let cache = self
+            .cache
+            .take()
+            .expect("backward before forward(train=true)");
+        let [gn, goc, _, _]: [usize; 4] = grad_out.shape().try_into().expect("grad shape");
+        assert_eq!(goc, self.out_channels);
+        let grad_in = match &cache {
+            ConvCache::Im2col { col, n, h, w } => {
+                assert_eq!(gn, *n);
+                let dy = self.param_grads_gemm(grad_out, col, *n, *h, *w);
+                input_grad.then(|| self.input_grad_gemm(&dy, *n, *h, *w))
+            }
+            ConvCache::Padded { xt, n, h, w } => {
+                assert_eq!(gn, *n);
+                let dims = [*n, *h, *w];
+                let gs = grad_out.as_slice();
+                let mut ws = DY_BLOCK.take();
+                self.param_grads_direct(gs, xt, dims, &mut ws);
+                let grad_in = input_grad.then(|| self.input_grad_direct(gs, dims, &mut ws));
+                DY_BLOCK.set(ws);
+                grad_in
+            }
+        };
+        // Restore the cache so repeated backward calls (as the numeric
+        // gradient tests do) keep working, matching the old behaviour of
+        // retaining the cached input.
+        self.cache = Some(cache);
         grad_in
     }
 }
@@ -541,44 +688,28 @@ impl Layer for Conv2d {
         assert_eq!(c, self.in_channels, "conv2d channel mismatch");
         let (oh, ow) = self.out_hw(h, w);
         assert!(oh > 0 && ow > 0, "conv2d output collapsed to zero size");
-        // A training forward supersedes the previous step's cache: the GEMM
-        // path frees it before lowering, the direct path refills its buffer.
+        // A training forward supersedes the previous step's cache and
+        // refills its buffer.
         let stale = if train { self.cache.take() } else { None };
+        let spare = match stale {
+            Some(ConvCache::Padded { xt: buf, .. } | ConvCache::Im2col { col: buf, .. }) => buf,
+            None => Vec::new(),
+        };
         let ckk = c * self.kernel * self.kernel;
         if self.use_gemm(ckk, n * oh * ow) {
-            drop(stale);
-            self.forward_gemm(x, train, n, c, h, w)
+            self.forward_gemm(x, train, spare, n, c, h, w)
         } else {
-            let spare = match stale {
-                Some(ConvCache::Padded { xt, .. }) => xt,
-                _ => Vec::new(),
-            };
             self.forward_direct(x, train, spare, n, c, h, w)
         }
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let cache = self
-            .cache
-            .take()
-            .expect("backward before forward(train=true)");
-        let [gn, goc, _, _]: [usize; 4] = grad_out.shape().try_into().expect("grad shape");
-        assert_eq!(goc, self.out_channels);
-        let grad_in = match &cache {
-            ConvCache::Im2col { col, n, h, w } => {
-                assert_eq!(gn, *n);
-                self.backward_gemm(grad_out, col, *n, *h, *w)
-            }
-            ConvCache::Padded { xt, n, h, w } => {
-                assert_eq!(gn, *n);
-                self.backward_direct(grad_out, xt, *n, *h, *w)
-            }
-        };
-        // Restore the cache so repeated backward calls (as the numeric
-        // gradient tests do) keep working, matching the old behaviour of
-        // retaining the cached input.
-        self.cache = Some(cache);
-        grad_in
+        self.backward_impl(grad_out, true)
+            .expect("input gradient requested")
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        self.backward_impl(grad_out, false);
     }
 
     fn params(&mut self) -> Vec<Param<'_>> {
@@ -627,21 +758,193 @@ impl Layer for Conv2d {
 pub(crate) fn pad_input(x: &Tensor, n: usize, c: usize, h: usize, w: usize, p: usize) -> Vec<f32> {
     let (ph, pw) = (h + 2 * p, w + 2 * p);
     let mut out = vec![0.0f32; n * c * ph * pw];
-    let xs = x.as_slice();
-    for plane in 0..n * c {
-        for y in 0..h {
-            let src = plane * h * w + y * w;
-            let dst = plane * ph * pw + (y + p) * pw + p;
-            out[dst..dst + w].copy_from_slice(&xs[src..src + w]);
-        }
-    }
+    pad_planes(x.as_slice(), [h, w], p, [ph, pw], &mut out);
     out
 }
 
-/// Signature of [`weight_grad_block`] at every lane width.
-type BlockFn = fn(&[f32], &[f32], usize, [usize; 3], [usize; 4], &mut [f32]);
+/// Copies the `H × W` planes of `src` into the interiors of the `ph × pw ≥
+/// (H+2p) × (W+2p)` planes of `dst`, value `(y, x)` at `(y + p, x + p)`.
+/// The rest of `dst` is left as it is: zero padding, when `dst` started
+/// zeroed and only ever receives planes of this geometry.
+fn pad_planes(src: &[f32], [h, w]: [usize; 2], p: usize, [ph, pw]: [usize; 2], dst: &mut [f32]) {
+    for (splane, dplane) in src.chunks_exact(h * w).zip(dst.chunks_exact_mut(ph * pw)) {
+        for (srow, drow) in splane
+            .chunks_exact(w)
+            .zip(dplane[p * pw..].chunks_exact_mut(pw))
+        {
+            drow[p..p + w].copy_from_slice(srow);
+        }
+    }
+}
 
-/// Adds one lane block's weight-gradient chains into `gw` (`[OC, C, K, K]`).
+/// Builds the output planes of a direct kernel in row-major order from
+/// `ROWS × S` register blocks, so they are appended once and never
+/// zero-filled first: a block's first row goes straight to `out`, its
+/// other rows wait in `band` until the block row's last segment.
+struct PlaneSink {
+    out: Vec<f32>,
+    band: Vec<f32>,
+    width: usize,
+}
+
+impl PlaneSink {
+    /// A sink for `len` values in planes `width` values wide.
+    fn new(len: usize, width: usize) -> Self {
+        PlaneSink {
+            out: Vec::with_capacity(len),
+            band: vec![0.0; (ROWS - 1) * width],
+            width,
+        }
+    }
+
+    /// Emits the first `rows` rows and `lanes` lanes of the block at
+    /// column `x0` (the last segment of its block row when
+    /// `x0 + lanes == width`).
+    #[inline(always)]
+    fn emit<const S: usize>(
+        &mut self,
+        acc: &[[f32; S]; ROWS],
+        x0: usize,
+        rows: usize,
+        lanes: usize,
+    ) {
+        push_lanes(&mut self.out, &acc[0], lanes);
+        let last = x0 + lanes == self.width;
+        // A constant trip count, so `acc` is only ever indexed by constants
+        // and stays in registers.
+        for (r, a) in acc.iter().enumerate().skip(1) {
+            if r >= rows {
+                break;
+            }
+            let band = &mut self.band[(r - 1) * self.width..][..self.width];
+            if !last {
+                band[x0..x0 + S].copy_from_slice(a);
+                continue;
+            }
+            if x0 > 0 {
+                self.out.extend_from_slice(&band[..x0]);
+            }
+            push_lanes(&mut self.out, a, lanes);
+        }
+    }
+}
+
+/// Appends the first `lanes` values of a register row: a whole segment as
+/// one fixed-width copy, which compiles to vector stores where a
+/// variable-length copy would call `memcpy`.
+#[inline(always)]
+fn push_lanes<const S: usize>(out: &mut Vec<f32>, a: &[f32; S], lanes: usize) {
+    if lanes == S {
+        out.extend_from_slice(a);
+    } else {
+        let part = *a;
+        out.extend_from_slice(&part[..lanes]);
+    }
+}
+
+/// The output planes of one image in the direct forward, appended to
+/// `sink`, from the image's padded planes `xpad` (row stride `pw`, with
+/// the spare rows and lanes the last block and segment read). Per output
+/// channel and block of `ROWS` rows × `S` lanes, the accumulators start at
+/// the channel's bias and add `w·x` over its taps — `taps[ends[oc-1] ..
+/// ends[oc]]`, the non-zero `(offset, weight)` pairs in `(ic, ky, kx)`
+/// order — in registers; only the block's real rows and lanes are kept.
+///
+/// Called once per image and kept out of line, so the register
+/// allocation of the accumulator blocks is decided for this loop nest
+/// alone, whatever the caller inlines around it.
+#[inline(never)]
+fn forward_rows<const S: usize>(
+    xpad: &[f32],
+    taps: &[(usize, f32)],
+    ends: &[usize],
+    bias: &[f32],
+    pw: usize,
+    [oh, ow]: [usize; 2],
+    sink: &mut PlaneSink,
+) {
+    let mut start = 0;
+    for (&end, &b) in ends.iter().zip(bias) {
+        let oc_taps = &taps[start..end];
+        start = end;
+        for y0 in (0..oh).step_by(ROWS) {
+            for x0 in (0..ow).step_by(S) {
+                let mut acc = [[b; S]; ROWS];
+                let block = &xpad[y0 * pw + x0..];
+                for &(off, wv) in oc_taps {
+                    for (r, a) in acc.iter_mut().enumerate() {
+                        let xr: &[f32; S] = block[off + r * pw..][..S].try_into().expect("S lanes");
+                        for j in 0..S {
+                            a[j] += wv * xr[j];
+                        }
+                    }
+                }
+                sink.emit(&acc, x0, ROWS.min(oh - y0), S.min(ow - x0));
+            }
+        }
+    }
+}
+
+/// The input-gradient planes of one image, appended to `sink`, from the
+/// image's `dy` window `src` (row stride `srow`, window `(0, 0)` at
+/// `origin`; see [`Conv2d::input_grad_direct`]), each input channel's
+/// `OC·K·K` taps in `(oc, ky, kx)` order as `(window offset, weight, ky,
+/// kx)`, and per segment and `kx` the lane masks of the columns inside the
+/// output. Per input channel and block of `ROWS` rows × `S` lanes, the
+/// accumulators start at `+0.0` and add `g·w` over the taps in registers.
+/// A tap whose output position `(y + P - ky, x + P - kx)` lies outside the
+/// `OH × OW` output is skipped: whole rows by a branch, lanes by a select
+/// that keeps the old sum, so a non-finite weight never meets the window's
+/// zero border. Both are compiled in only when `MASKED` (`P < K-1`):
+/// otherwise every tap of every real position is inside.
+///
+/// Called once per image and kept out of line, like [`forward_rows`].
+#[inline(never)]
+fn input_grad_rows<const S: usize, const MASKED: bool>(
+    src: &[f32],
+    taps: &[(usize, f32, usize, usize)],
+    masks: &[u32],
+    [k, p, oh, oc_n]: [usize; 4],
+    [srow, origin]: [usize; 2],
+    [h, w]: [usize; 2],
+    sink: &mut PlaneSink,
+) {
+    for ic_taps in taps.chunks_exact(oc_n * k * k) {
+        for y0 in (0..h).step_by(ROWS) {
+            for (x0, seg_masks) in (0..w).step_by(S).zip(masks.chunks_exact(k * S)) {
+                let mut acc = [[0.0f32; S]; ROWS];
+                let block = &src[origin + y0 * srow + x0..];
+                for &(off, wv, ky, kx) in ic_taps {
+                    let m: &[u32; S] = if MASKED {
+                        seg_masks[kx * S..][..S].try_into().expect("S lanes")
+                    } else {
+                        &[u32::MAX; S]
+                    };
+                    for (r, a) in acc.iter_mut().enumerate() {
+                        if MASKED && (y0 + r + p).wrapping_sub(ky) >= oh {
+                            continue;
+                        }
+                        let g: &[f32; S] =
+                            block[off + r * srow..][..S].try_into().expect("S lanes");
+                        for j in 0..S {
+                            let sum = a[j] + g[j] * wv;
+                            a[j] = if m[j] != 0 { sum } else { a[j] };
+                        }
+                    }
+                }
+                sink.emit(&acc, x0, ROWS.min(h - y0), S.min(w - x0));
+            }
+        }
+    }
+}
+
+/// Signature of [`weight_grad_block`] at every lane width.
+type BlockFn = fn(&[f32], &[f32], usize, [usize; 2], [usize; 4], &mut [f32], &mut [f32]);
+
+/// Adds one lane block's weight-gradient chains into `gw` (`[OC, C, K, K]`)
+/// and its bias-gradient chains (each image's `dy` plane summed in
+/// row-major order from the neutral element of `f32`'s `Sum`, as
+/// `iter().sum()` does) into `gb`.
 /// `dyt` (`[OC, OH·OW, W]`) and `xb` (`[C, PH·PW, W]`, zero-padded) hold the
 /// block's images image-minor; lanes from `valid` on are spare and dropped.
 /// Row by row, the `C·K·K` chains of an output channel advance together
@@ -652,14 +955,25 @@ fn weight_grad_block<const W: usize>(
     dyt: &[f32],
     xb: &[f32],
     valid: usize,
-    [oc_n, c, k]: [usize; 3],
+    [c, k]: [usize; 2],
     [ph, pw, oh, ow]: [usize; 4],
     gw: &mut [f32],
+    gb: &mut [f32],
 ) {
+    let sum_start: f32 = std::iter::empty::<f32>().sum();
     let mut acc = vec![[0.0f32; W]; c * k * k];
-    for oc in 0..oc_n {
+    for (oc, gb_v) in gb.iter_mut().enumerate() {
         let dplane = &dyt[oc * oh * ow * W..][..oh * ow * W];
         acc.fill([0.0; W]);
+        let mut bias = [sum_start; W];
+        for d in dplane.chunks_exact(W) {
+            for (b, &dv) in bias.iter_mut().zip(d) {
+                *b += dv;
+            }
+        }
+        for &b in &bias[..valid] {
+            *gb_v += b;
+        }
         for oy in 0..oh {
             let drow = &dplane[oy * ow * W..][..ow * W];
             for (ic, chains) in acc.chunks_exact_mut(k * k).enumerate() {
@@ -755,12 +1069,15 @@ fn to_lanes(
     }
 }
 
-/// Lowers a whole batch to one im2col patch matrix `[C·K·K, N·OH·OW]` with
-/// column index `img·OH·OW + oy·OW + ox` and row index
-/// `r = (ic·K + ky)·K + kx`, so a forward pass is a **single** GEMM over
-/// all images (small per-image products would drown in packing overhead).
-/// Every row is built from contiguous `OW`-length `copy_from_slice` runs
-/// out of the padded input. Shared by [`Conv2d`] and [`crate::quant`].
+/// Lowers a whole batch into `col`, one im2col patch matrix
+/// `[C·K·K, N·OH·OW]` with column index `img·OH·OW + oy·OW + ox` and row
+/// index `r = (ic·K + ky)·K + kx`, so a forward pass is a **single** GEMM
+/// over all images (small per-image products would drown in packing
+/// overhead). The matrix is appended row by row from contiguous
+/// `OW`-length runs of the padded input, so every element is written
+/// exactly once and `col`'s allocation (cleared first) is reused. Shared by
+/// [`Conv2d`] and [`crate::quant`].
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn im2col(
     x: &Tensor,
     n: usize,
@@ -769,29 +1086,26 @@ pub(crate) fn im2col(
     w: usize,
     k: usize,
     p: usize,
-) -> Vec<f32> {
+    col: &mut Vec<f32>,
+) {
     let (oh, ow) = (h + 2 * p - k + 1, w + 2 * p - k + 1);
-    let (ckk, ohow) = (c * k * k, oh * ow);
     let (ph, pw) = (h + 2 * p, w + 2 * p);
     let xpad = pad_input(x, n, c, h, w, p);
-    let cols = n * ohow;
-    let mut col = vec![0.0f32; ckk * cols];
-    for img in 0..n {
-        for ic in 0..c {
-            let x_base = (img * c + ic) * ph * pw;
-            for ky in 0..k {
-                for kx in 0..k {
-                    let r = (ic * k + ky) * k + kx;
+    col.clear();
+    col.reserve(c * k * k * n * oh * ow);
+    for ic in 0..c {
+        for ky in 0..k {
+            for kx in 0..k {
+                for img in 0..n {
+                    let x_base = (img * c + ic) * ph * pw;
                     for oy in 0..oh {
                         let src = x_base + (oy + ky) * pw + kx;
-                        let dst = r * cols + img * ohow + oy * ow;
-                        col[dst..dst + ow].copy_from_slice(&xpad[src..src + ow]);
+                        col.extend_from_slice(&xpad[src..src + ow]);
                     }
                 }
             }
         }
     }
-    col
 }
 
 #[cfg(test)]
@@ -844,6 +1158,97 @@ mod tests {
             }
         }
         conv.unpad(&gipad, n, c, h, w)
+    }
+
+    /// The direct forward loop the row kernel replaced, kept as its
+    /// bit-identity oracle: each output row starts at the bias and is
+    /// read and rewritten once per non-zero tap.
+    fn forward_direct_oracle(conv: &Conv2d, x: &Tensor) -> Tensor {
+        let [n, c, h, w]: [usize; 4] = x.shape().try_into().expect("[N,C,H,W]");
+        let xpad = pad_input(x, n, c, h, w, conv.padding);
+        let (oh, ow) = conv.out_hw(h, w);
+        let k = conv.kernel;
+        let (ph, pw) = (h + 2 * conv.padding, w + 2 * conv.padding);
+        let ws = conv.weight.as_slice();
+        let bs = conv.bias.as_slice();
+        let mut out = Tensor::zeros(&[n, conv.out_channels, oh, ow]);
+        let os = out.as_mut_slice();
+        for img in 0..n {
+            for (oc, &bias) in bs.iter().enumerate() {
+                let o_base = ((img * conv.out_channels) + oc) * oh * ow;
+                os[o_base..o_base + oh * ow].fill(bias);
+                for ic in 0..c {
+                    let x_base = ((img * c) + ic) * ph * pw;
+                    let w_base = ((oc * c) + ic) * k * k;
+                    for ky in 0..k {
+                        for kx in 0..k {
+                            let weight = ws[w_base + ky * k + kx];
+                            if weight == 0.0 {
+                                continue;
+                            }
+                            for oy in 0..oh {
+                                let xrow = x_base + (oy + ky) * pw + kx;
+                                let orow = o_base + oy * ow;
+                                let (xr, or) = (&xpad[xrow..xrow + ow], &mut os[orow..orow + ow]);
+                                for (o, &v) in or.iter_mut().zip(xr) {
+                                    *o += weight * v;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// The direct input-gradient loop the row kernel replaced, kept as its
+    /// bit-identity oracle: each input row is read and rewritten once per
+    /// tap, clipped to the taps that land inside the output.
+    fn input_grad_oracle(conv: &Conv2d, grad_out: &Tensor, h: usize, w: usize) -> Tensor {
+        let (oc_n, c, k, p) = (
+            conv.out_channels,
+            conv.in_channels,
+            conv.kernel,
+            conv.padding,
+        );
+        let n = grad_out.shape()[0];
+        let (oh, ow) = conv.out_hw(h, w);
+        let gs = grad_out.as_slice();
+        let ws = conv.weight.as_slice();
+        let mut grad_in = Tensor::zeros(&[n, c, h, w]);
+        let gi = grad_in.as_mut_slice();
+        let clip = |t: usize, len: usize, out: usize| {
+            let start = p.saturating_sub(t);
+            start..(len + p).saturating_sub(t).min(out).max(start)
+        };
+        for img in 0..n {
+            for oc in 0..oc_n {
+                let g_base = (img * oc_n + oc) * oh * ow;
+                for ic in 0..c {
+                    let plane = &mut gi[(img * c + ic) * h * w..][..h * w];
+                    let w_base = (oc * c + ic) * k * k;
+                    for ky in 0..k {
+                        for kx in 0..k {
+                            let weight = ws[w_base + ky * k + kx];
+                            let oxs = clip(kx, w, ow);
+                            if oxs.is_empty() {
+                                continue;
+                            }
+                            let col = oxs.start + kx - p;
+                            for oy in clip(ky, h, oh) {
+                                let gr = &gs[g_base + oy * ow..][oxs.clone()];
+                                let gir = &mut plane[(oy + ky - p) * w + col..][..gr.len()];
+                                for (gi_v, &g) in gir.iter_mut().zip(gr) {
+                                    *gi_v += g * weight;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        grad_in
     }
 
     /// Deterministic values of both signs with exact zeros mixed in, so
@@ -912,6 +1317,60 @@ mod tests {
                         bits(fused.grad_b.as_slice()),
                         "grad_b {case}"
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn direct_row_kernels_are_bit_identical_to_the_loops() {
+        // Widths with a partial segment (5, 28, 33, 70) and without (32);
+        // odd heights leave a spare row, and height 8 reads `dy` in place.
+        let planes = [(7, 5), (5, 28), (9, 32), (8, 32), (3, 33), (5, 70)];
+        for k in [1, 3, 5] {
+            for p in [0, 1, 2] {
+                for (h, w) in planes {
+                    if h + 2 * p < k || w + 2 * p < k {
+                        continue;
+                    }
+                    for n in [1, 16, 17] {
+                        for inf in [false, true] {
+                            let mut rng = StdRng::seed_from_u64((k * 10 + p + w + n) as u64);
+                            let mut conv = Conv2d::new(2, 3, k, p, &mut rng);
+                            conv.set_kernel_path(KernelPath::Direct);
+                            let ws = conv.weight.as_mut_slice();
+                            ws.copy_from_slice(&mixed(ws.len(), k + p));
+                            ws[1] = 0.0;
+                            if inf {
+                                // A corner tap of channel 1: near the border
+                                // it falls outside the output, where it must
+                                // add nothing.
+                                ws[(2 + 1) * k * k - k] = f32::INFINITY;
+                            }
+                            conv.bias
+                                .as_mut_slice()
+                                .copy_from_slice(&[-0.0, 0.5, -1.25]);
+                            let x = Tensor::from_vec(&[n, 2, h, w], mixed(n * 2 * h * w, w));
+                            let case = format!("k{k} p{p} {h}x{w} n{n} inf {inf}");
+                            let want = forward_direct_oracle(&conv, &x);
+                            for train in [false, true] {
+                                let got = conv.forward(&x, train);
+                                assert_eq!(
+                                    bits(got.as_slice()),
+                                    bits(want.as_slice()),
+                                    "forward(train={train}) {case}"
+                                );
+                            }
+                            let gout = Tensor::from_vec(want.shape(), mixed(want.len(), h));
+                            let got = conv.backward(&gout);
+                            let want = input_grad_oracle(&conv, &gout, h, w);
+                            assert_eq!(
+                                bits(got.as_slice()),
+                                bits(want.as_slice()),
+                                "input gradient {case}"
+                            );
+                        }
+                    }
                 }
             }
         }

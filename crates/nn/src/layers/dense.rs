@@ -91,6 +91,23 @@ impl Layer for Dense {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        self.backward_params(grad_out);
+        // grad_x = g W^T: W is stored [in, out], the transposed right
+        // operand for the NT kernel.
+        let n = grad_out.shape()[0];
+        let mut gx = Tensor::zeros(&[n, self.in_features]);
+        gemm::gemm_nt(
+            n,
+            self.out_features,
+            self.in_features,
+            grad_out.as_slice(),
+            self.weight.as_slice(),
+            gx.as_mut_slice(),
+        );
+        gx
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) {
         let x = self
             .cached_input
             .as_ref()
@@ -113,18 +130,6 @@ impl Layer for Dense {
                 gb[j] += g[i * self.out_features + j];
             }
         }
-        // grad_x = g W^T: W is stored [in, out], the transposed right
-        // operand for the NT kernel.
-        let mut gx = Tensor::zeros(&[n, self.in_features]);
-        gemm::gemm_nt(
-            n,
-            self.out_features,
-            self.in_features,
-            g,
-            self.weight.as_slice(),
-            gx.as_mut_slice(),
-        );
-        gx
     }
 
     fn params(&mut self) -> Vec<Param<'_>> {

@@ -41,6 +41,12 @@ impl Layer for Residual {
         through.add(grad_out)
     }
 
+    /// The skip path owns no parameters: only the inner block's gradients
+    /// are accumulated.
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        self.inner.backward_params(grad_out);
+    }
+
     fn params(&mut self) -> Vec<Param<'_>> {
         self.inner.params()
     }

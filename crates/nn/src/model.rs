@@ -184,19 +184,29 @@ impl Layer for Sequential {
     }
 
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let mut cur = x.clone();
+        // The input is copied only when there is no layer to produce a new
+        // tensor (an empty stack is a pass-through).
+        let mut cur: Option<Tensor> = None;
         for layer in &mut self.layers {
-            cur = layer.forward(&cur, train);
+            cur = Some(layer.forward(cur.as_ref().unwrap_or(x), train));
         }
-        cur
+        cur.unwrap_or_else(|| x.clone())
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut g = grad_out.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g);
-        }
-        g
+        backward_through(&mut self.layers, grad_out).unwrap_or_else(|| grad_out.clone())
+    }
+
+    /// Runs the full backward down to the first layer that owns
+    /// parameters, which gets [`Layer::backward_params`]; the layers below
+    /// it (a leading `Flatten`, say) own nothing to update and are skipped.
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        let Some(first) = self.layers.iter().position(|l| l.param_len() > 0) else {
+            return;
+        };
+        let (below, above) = self.layers.split_at_mut(first + 1);
+        let g = backward_through(above, grad_out);
+        below[first].backward_params(g.as_ref().unwrap_or(grad_out));
     }
 
     fn params(&mut self) -> Vec<Param<'_>> {
@@ -232,6 +242,16 @@ impl Layer for Sequential {
     fn as_any(&self) -> &dyn std::any::Any {
         self
     }
+}
+
+/// Back-propagates `grad_out` through `layers` in reverse order; `None`
+/// when there are no layers (the gradient passes through unchanged).
+fn backward_through(layers: &mut [Box<dyn Layer>], grad_out: &Tensor) -> Option<Tensor> {
+    let mut g: Option<Tensor> = None;
+    for layer in layers.iter_mut().rev() {
+        g = Some(layer.backward(g.as_ref().unwrap_or(grad_out)));
+    }
+    g
 }
 
 #[cfg(test)]
@@ -334,6 +354,72 @@ mod tests {
             .all_params()
             .iter()
             .any(|p| p.grads.iter().any(|&v| v != 0.0)));
+    }
+
+    /// Runs `backward` on one copy of `layer` and `backward_params` on
+    /// another, twice over, and checks that every parameter gradient is
+    /// bit for bit the same.
+    fn assert_params_only_matches_backward(mut layer: Box<dyn Layer>, x: &Tensor) {
+        let mut full = layer.clone();
+        let y = layer.forward(x, true);
+        let _ = full.forward(x, true);
+        for salt in [1usize, 2] {
+            let g = Tensor::from_vec(
+                y.shape(),
+                (0..y.len())
+                    .map(|i| ((i * 37 + salt * 11) % 23) as f32 / 7.0 - 1.5)
+                    .collect(),
+            );
+            let _ = full.backward(&g);
+            layer.backward_params(&g);
+        }
+        let bits = |l: &mut Box<dyn Layer>| -> Vec<u32> {
+            l.params()
+                .iter()
+                .flat_map(|p| p.grads.iter().map(|v| v.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(&mut layer), bits(&mut full), "{}", layer.name());
+    }
+
+    #[test]
+    fn backward_params_leaves_the_gradients_of_backward() {
+        use crate::layers::{Conv2d, KernelPath, Residual};
+        let mut rng = StdRng::seed_from_u64(7);
+        let image = Tensor::from_vec(
+            &[3, 2, 6, 6],
+            (0..3 * 2 * 36)
+                .map(|i| ((i * 13) % 17) as f32 / 9.0 - 0.9)
+                .collect(),
+        );
+        for path in [KernelPath::Direct, KernelPath::Gemm] {
+            let mut conv = Conv2d::new(2, 4, 3, 1, &mut rng);
+            conv.set_kernel_path(path);
+            assert_params_only_matches_backward(Box::new(conv), &image);
+        }
+        let flat = Tensor::from_vec(&[3, 72], image.as_slice().to_vec());
+        assert_params_only_matches_backward(Box::new(Dense::new(72, 5, &mut rng)), &flat);
+        // A stack whose first layer owns no parameters.
+        let mut stack = Sequential::new("flatten-first");
+        stack.push(Flatten::new());
+        stack.push(Dense::new(72, 8, &mut rng));
+        stack.push(Relu::new());
+        stack.push(Dense::new(8, 3, &mut rng));
+        assert_params_only_matches_backward(Box::new(stack), &image);
+        let mut inner = Sequential::new("inner");
+        inner.push(Dense::new(72, 72, &mut rng));
+        inner.push(Relu::new());
+        inner.push(Dense::new(72, 72, &mut rng));
+        assert_params_only_matches_backward(Box::new(Residual::new(inner)), &flat);
+    }
+
+    #[test]
+    fn empty_stack_passes_input_and_gradient_through() {
+        let mut m = Sequential::new("pass");
+        let x = Tensor::from_vec(&[1, 3], vec![1.0, -2.0, 0.5]);
+        assert_eq!(m.forward(&x, true).as_slice(), x.as_slice());
+        assert_eq!(m.backward(&x).as_slice(), x.as_slice());
+        m.backward_params(&x);
     }
 
     #[test]

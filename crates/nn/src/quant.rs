@@ -388,7 +388,8 @@ impl QConv2d {
         let (oh, ow) = (h + 2 * p - k + 1, w + 2 * p - k + 1);
         let (ckk, ohow) = (c * k * k, oh * ow);
         let cols = n * ohow;
-        let col = conv::im2col(x, n, c, h, w, k, p);
+        let mut col = Vec::new();
+        conv::im2col(x, n, c, h, w, k, p, &mut col);
         let col_q = quantize(&col, self.x_scale);
         let mut acc = vec![0i32; self.out_channels * cols];
         gemm_i8(

@@ -4,9 +4,12 @@
 //!    training shapes). The `KernelPath::Auto` thresholds in
 //!    `mvml_nn::layers::Conv2d` were measured with this table — re-run it
 //!    when retuning them for a new host.
-//! 2. `forward(train=true)` and `backward` on the shapes `Auto` trains on
-//!    the direct path: the three yolomini detector layers at batch 16 and
-//!    the lenet/alexnet stems at batch 32 (min of 30 samples).
+//! 2. The shapes `Auto` trains on the direct path: the three yolomini
+//!    detector layers at batch 16 and the lenet/alexnet stems at batch 32.
+//!    Per shape: `forward(train=true)`, `backward_params` (what a training
+//!    step runs on a model's first layer), full `backward`, and the
+//!    batch-1 `forward(train=false)` of per-frame inference (min of 30
+//!    samples each).
 //!
 //! Run with `cargo run --release --example conv_probe`.
 // Demo code: aborting on a broken step is the desired behaviour, so
@@ -107,13 +110,23 @@ fn main() {
         let fwd = min_ns(30, || {
             std::hint::black_box(conv.forward(std::hint::black_box(&x), true));
         });
+        let params = min_ns(30, || {
+            conv.backward_params(std::hint::black_box(&gout));
+        });
         let bwd = min_ns(30, || {
             std::hint::black_box(conv.backward(std::hint::black_box(&gout)));
         });
+        let x1 = Tensor::from_vec(&[1, ic, hw, hw], x.as_slice()[..ic * hw * hw].to_vec());
+        let infer = min_ns(30, || {
+            std::hint::black_box(conv.forward(std::hint::black_box(&x1), false));
+        });
         println!(
-            "{label} b{n}: forward(train) {:.3} ms, backward {:.3} ms",
+            "{label} b{n}: forward(train) {:.3} ms, backward_params {:.3} ms, backward {:.3} ms; \
+             b1 forward(infer) {:.1} us",
             fwd / 1e6,
-            bwd / 1e6
+            params / 1e6,
+            bwd / 1e6,
+            infer / 1e3
         );
     }
 }

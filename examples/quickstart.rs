@@ -8,7 +8,7 @@
 
 use resilient_perception::faultinject::search_compromise_seed;
 use resilient_perception::mvml::{NVersionSystem, Verdict};
-use resilient_perception::nn::metrics::error_set;
+use resilient_perception::nn::metrics::{error_set, evaluate_accuracy};
 use resilient_perception::nn::models::three_versions;
 use resilient_perception::nn::signs::{generate, SignConfig};
 use resilient_perception::nn::train::{train_classifier, TrainConfig};
@@ -35,12 +35,9 @@ fn main() {
         ..TrainConfig::default()
     };
     for m in &mut models {
-        let report = train_classifier(m, &train, &tc);
-        println!(
-            "  {:<14} train accuracy {:.3}",
-            m.model_name(),
-            report.final_train_accuracy
-        );
+        let _ = train_classifier(m, &train, &tc);
+        let accuracy = evaluate_accuracy(m, &train, tc.batch_size);
+        println!("  {:<14} train accuracy {:.3}", m.model_name(), accuracy);
     }
 
     // 3. Assemble the N-version system (trusted voter, rules R.1–R.3).
