@@ -173,7 +173,9 @@ pub fn train_detector(model: &mut Sequential, cfg: &DetectorTrainConfig) -> f32 
 /// Trains a detector on the given `(noisy input, clean target)` scenes
 /// (one [`training_scenes`] set can be shared by several models); returns
 /// the final epoch's mean BCE loss. `cfg.scenes` is ignored: `scenes`
-/// sets the count.
+/// sets the count. The model leaves with its training state released
+/// ([`Layer::release_training_state`]): weights only, no caches or
+/// gradient buffers.
 ///
 /// # Panics
 ///
@@ -211,6 +213,7 @@ pub fn train_detector_on(
         }
         last_epoch_loss = (total / f64::from(batches as u32)) as f32;
     }
+    model.release_training_state();
     last_epoch_loss
 }
 

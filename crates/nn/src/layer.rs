@@ -14,7 +14,11 @@ pub struct Param<'a> {
     pub name: &'static str,
     /// Flattened parameter values.
     pub values: &'a mut [f32],
-    /// Flattened gradient accumulator, same length as `values`.
+    /// Flattened gradient accumulator: same length as `values` while the
+    /// layer trains, empty outside training. The first
+    /// `forward(…, train = true)` allocates it as zeros and
+    /// [`Layer::release_training_state`] drops it, so an untrained or a
+    /// trained model carries no gradient memory.
     pub grads: &'a mut [f32],
 }
 
@@ -23,6 +27,13 @@ pub struct Param<'a> {
 /// Layers own their parameters and cache whatever activations they need
 /// between `forward` and `backward`. The contract is strictly
 /// forward-then-backward on the same input batch.
+///
+/// What a layer holds depends on where it is in its life. While it trains,
+/// it keeps the last training batch's caches and its gradient
+/// accumulators. After [`Layer::release_training_state`], which the
+/// training loops call once their last optimizer step is done, it holds
+/// only what inference reads: its parameters and its configuration. A
+/// clone of a trained model then copies weights alone.
 pub trait Layer: Send + Sync {
     /// Human-readable layer kind (e.g. `"dense"`, `"conv2d"`).
     fn name(&self) -> &'static str;
@@ -80,7 +91,14 @@ pub trait Layer: Send + Sync {
     /// (conv/dense) layers in a [`crate::model::Sequential`] stack.
     fn as_any(&self) -> &dyn std::any::Any;
 
-    /// Zeroes all gradient accumulators.
+    /// Drops what only training reads: the caches of the last
+    /// `forward(…, train = true)` and the gradient accumulators. The
+    /// parameters are untouched, so inference gives the same bits; the
+    /// next training forward re-creates the accumulators as zeros. The
+    /// default does nothing (a layer that caches nothing).
+    fn release_training_state(&mut self) {}
+
+    /// Zeroes all gradient accumulators (none are held outside training).
     fn zero_grad(&mut self) {
         for p in self.params() {
             p.grads.fill(0.0);

@@ -50,6 +50,11 @@ impl Layer for Relu {
         g
     }
 
+    fn release_training_state(&mut self) {
+        self.cached_mask = Vec::new();
+        self.cached_shape = Vec::new();
+    }
+
     fn output_shape(&self, input: &[usize]) -> Vec<usize> {
         input.to_vec()
     }
@@ -106,6 +111,10 @@ impl Layer for Sigmoid {
             *gv *= yv * (1.0 - yv);
         }
         g
+    }
+
+    fn release_training_state(&mut self) {
+        self.cached_output = None;
     }
 
     fn output_shape(&self, input: &[usize]) -> Vec<usize> {

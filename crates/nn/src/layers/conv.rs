@@ -151,8 +151,10 @@ pub struct Conv2d {
     padding: usize,
     weight: Tensor, // [OC, IC, K, K]
     bias: Tensor,   // [OC]
-    grad_w: Tensor,
-    grad_b: Tensor,
+    // Gradient accumulators: empty outside training (see
+    // `Layer::release_training_state`).
+    grad_w: Vec<f32>,
+    grad_b: Vec<f32>,
     path: KernelPath,
     cache: Option<ConvCache>,
 }
@@ -178,8 +180,8 @@ impl Conv2d {
                 he_normal(rng, fan_in, n),
             ),
             bias: Tensor::zeros(&[out_channels]),
-            grad_w: Tensor::zeros(&[out_channels, in_channels, kernel, kernel]),
-            grad_b: Tensor::zeros(&[out_channels]),
+            grad_w: Vec::new(),
+            grad_b: Vec::new(),
             path: KernelPath::default(),
             cache: None,
         }
@@ -364,7 +366,7 @@ impl Conv2d {
         let ohow = oh * ow;
         let cols = n * ohow;
         let gs = grad_out.as_slice();
-        let gb = self.grad_b.as_mut_slice();
+        let gb = &mut self.grad_b;
         // Regroup dy from [N, OC, OH·OW] to the batched GEMM layout
         // [OC, N·OH·OW] (contiguous OH·OW runs), summing bias gradients on
         // the way through.
@@ -376,14 +378,7 @@ impl Conv2d {
                 dy[oc * cols + img * ohow..][..ohow].copy_from_slice(src);
             }
         }
-        gemm::gemm_nt_acc(
-            self.out_channels,
-            cols,
-            ckk,
-            &dy,
-            col,
-            self.grad_w.as_mut_slice(),
-        );
+        gemm::gemm_nt_acc(self.out_channels, cols, ckk, &dy, col, &mut self.grad_w);
         dy
     }
 
@@ -507,8 +502,8 @@ impl Conv2d {
         let (oh, ow) = self.out_hw(h, w);
         let ohow = oh * ow;
         let (ph, pw) = (h + 2 * p, w + 2 * p);
-        let gw = self.grad_w.as_mut_slice();
-        let gb = self.grad_b.as_mut_slice();
+        let gw = &mut self.grad_w;
+        let gb = &mut self.grad_b;
         ws.resize(oc_n * ohow * LANES, 0.0);
         let xplane = c * ph * pw;
         for b0 in (0..n).step_by(LANES) {
@@ -691,6 +686,10 @@ impl Layer for Conv2d {
         // A training forward supersedes the previous step's cache and
         // refills its buffer.
         let stale = if train { self.cache.take() } else { None };
+        if train && self.grad_w.is_empty() {
+            self.grad_w = vec![0.0; self.weight.len()];
+            self.grad_b = vec![0.0; self.out_channels];
+        }
         let spare = match stale {
             Some(ConvCache::Padded { xt: buf, .. } | ConvCache::Im2col { col: buf, .. }) => buf,
             None => Vec::new(),
@@ -717,14 +716,20 @@ impl Layer for Conv2d {
             Param {
                 name: "weight",
                 values: self.weight.as_mut_slice(),
-                grads: self.grad_w.as_mut_slice(),
+                grads: &mut self.grad_w,
             },
             Param {
                 name: "bias",
                 values: self.bias.as_mut_slice(),
-                grads: self.grad_b.as_mut_slice(),
+                grads: &mut self.grad_b,
             },
         ]
+    }
+
+    fn release_training_state(&mut self) {
+        self.cache = None;
+        self.grad_w = Vec::new();
+        self.grad_b = Vec::new();
     }
 
     fn param_len(&self) -> usize {
@@ -1126,8 +1131,8 @@ mod tests {
         let mut gipad = vec![0.0f32; n * c * ph * pw];
         let gs = grad_out.as_slice();
         let ws = conv.weight.as_slice();
-        let gw = conv.grad_w.as_mut_slice();
-        let gb = conv.grad_b.as_mut_slice();
+        let gw = &mut conv.grad_w;
+        let gb = &mut conv.grad_b;
         for img in 0..n {
             for (oc, gb_v) in gb.iter_mut().enumerate() {
                 let g_base = ((img * conv.out_channels) + oc) * oh * ow;
@@ -1289,10 +1294,8 @@ mod tests {
                 let mut lanes = Conv2d::new(ic, oc, k, p, &mut rng);
                 lanes.set_kernel_path(KernelPath::Direct);
                 // Gradients already hold values: backward accumulates.
-                let gw0 = mixed(lanes.grad_w.len(), 1);
-                lanes.grad_w.as_mut_slice().copy_from_slice(&gw0);
-                let gb0 = mixed(oc, 2);
-                lanes.grad_b.as_mut_slice().copy_from_slice(&gb0);
+                lanes.grad_w = mixed(lanes.weight.len(), 1);
+                lanes.grad_b = mixed(oc, 2);
                 let mut fused = lanes.clone();
                 let x = Tensor::from_vec(&[n, ic, side, side], mixed(n * ic * side * side, 3));
                 let y = lanes.forward(&x, true);

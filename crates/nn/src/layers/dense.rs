@@ -15,8 +15,10 @@ pub struct Dense {
     out_features: usize,
     weight: Tensor, // [in, out]
     bias: Tensor,   // [out]
-    grad_w: Tensor,
-    grad_b: Tensor,
+    // Gradient accumulators: empty outside training (see
+    // `Layer::release_training_state`).
+    grad_w: Vec<f32>,
+    grad_b: Vec<f32>,
     cached_input: Option<Tensor>,
 }
 
@@ -32,8 +34,8 @@ impl Dense {
             out_features,
             weight,
             bias: Tensor::zeros(&[out_features]),
-            grad_w: Tensor::zeros(&[in_features, out_features]),
-            grad_b: Tensor::zeros(&[out_features]),
+            grad_w: Vec::new(),
+            grad_b: Vec::new(),
             cached_input: None,
         }
     }
@@ -69,6 +71,10 @@ impl Layer for Dense {
         assert_eq!(x.shape()[1], self.in_features, "dense input width mismatch");
         if train {
             self.cached_input = Some(x.clone());
+            if self.grad_w.is_empty() {
+                self.grad_w = vec![0.0; self.in_features * self.out_features];
+                self.grad_b = vec![0.0; self.out_features];
+            }
         }
         let n = x.shape()[0];
         let mut y = Tensor::zeros(&[n, self.out_features]);
@@ -121,9 +127,9 @@ impl Layer for Dense {
             self.out_features,
             x.as_slice(),
             grad_out.as_slice(),
-            self.grad_w.as_mut_slice(),
+            &mut self.grad_w,
         );
-        let gb = self.grad_b.as_mut_slice();
+        let gb = &mut self.grad_b;
         let g = grad_out.as_slice();
         for i in 0..n {
             for j in 0..self.out_features {
@@ -137,14 +143,20 @@ impl Layer for Dense {
             Param {
                 name: "weight",
                 values: self.weight.as_mut_slice(),
-                grads: self.grad_w.as_mut_slice(),
+                grads: &mut self.grad_w,
             },
             Param {
                 name: "bias",
                 values: self.bias.as_mut_slice(),
-                grads: self.grad_b.as_mut_slice(),
+                grads: &mut self.grad_b,
             },
         ]
+    }
+
+    fn release_training_state(&mut self) {
+        self.cached_input = None;
+        self.grad_w = Vec::new();
+        self.grad_b = Vec::new();
     }
 
     fn param_len(&self) -> usize {

@@ -38,6 +38,10 @@ impl Layer for Flatten {
         grad_out.reshape(&self.cached_shape)
     }
 
+    fn release_training_state(&mut self) {
+        self.cached_shape = Vec::new();
+    }
+
     fn output_shape(&self, input: &[usize]) -> Vec<usize> {
         vec![input[0], input[1..].iter().product()]
     }

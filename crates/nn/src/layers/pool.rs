@@ -32,7 +32,14 @@ impl Layer for MaxPool2 {
         let xs = x.as_slice();
         let mut out = Tensor::zeros(&[n, c, oh, ow]);
         let os = out.as_mut_slice();
-        let mut argmax = vec![0usize; n * c * oh * ow];
+        // Only a training forward records where each maximum came from
+        // (backward routes through it), in the previous step's buffer.
+        let mut argmax = Vec::new();
+        if train {
+            argmax = std::mem::take(&mut self.cached_argmax);
+            argmax.clear();
+            argmax.reserve(n * c * oh * ow);
+        }
         for img in 0..n {
             for ch in 0..c {
                 let base = (img * c + ch) * h * w;
@@ -47,9 +54,10 @@ impl Layer for MaxPool2 {
                                 best_idx = idx;
                             }
                         }
-                        let o = ((img * c + ch) * oh + oy) * ow + ox;
-                        os[o] = best;
-                        argmax[o] = best_idx;
+                        os[((img * c + ch) * oh + oy) * ow + ox] = best;
+                        if train {
+                            argmax.push(best_idx);
+                        }
                     }
                 }
             }
@@ -72,6 +80,11 @@ impl Layer for MaxPool2 {
             gi[src] += grad_out.as_slice()[o];
         }
         grad_in
+    }
+
+    fn release_training_state(&mut self) {
+        self.cached_input_shape = Vec::new();
+        self.cached_argmax = Vec::new();
     }
 
     fn output_shape(&self, input: &[usize]) -> Vec<usize> {
@@ -121,6 +134,29 @@ mod tests {
         assert_eq!(y.as_slice(), &[9.0]);
         let g = pool.backward(&Tensor::from_vec(&[1, 1, 1, 1], vec![2.5]));
         assert_eq!(g.as_slice(), &[0.0, 2.5, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn inference_forward_matches_training_and_caches_nothing() {
+        let x = Tensor::from_vec(
+            &[2, 3, 5, 6],
+            (0..180)
+                .map(|i| ((i * 37) % 29) as f32 / 7.0 - 2.0)
+                .collect(),
+        );
+        let mut infer = MaxPool2::new();
+        let mut train = MaxPool2::new();
+        let bits = |y: Tensor| y.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(infer.forward(&x, false)),
+            bits(train.forward(&x, true))
+        );
+        assert_eq!(infer.cached_argmax.capacity(), 0);
+        assert!(infer.cached_input_shape.is_empty());
+        assert_eq!(train.cached_argmax.len(), 2 * 3 * 2 * 3);
+        train.release_training_state();
+        assert_eq!(train.cached_argmax.capacity(), 0);
+        assert!(train.cached_input_shape.is_empty());
     }
 
     #[test]

@@ -47,6 +47,10 @@ impl Layer for Residual {
         self.inner.backward_params(grad_out);
     }
 
+    fn release_training_state(&mut self) {
+        self.inner.release_training_state();
+    }
+
     fn params(&mut self) -> Vec<Param<'_>> {
         self.inner.params()
     }

@@ -209,6 +209,12 @@ impl Layer for Sequential {
         below[first].backward_params(g.as_ref().unwrap_or(grad_out));
     }
 
+    fn release_training_state(&mut self) {
+        for layer in &mut self.layers {
+            layer.release_training_state();
+        }
+    }
+
     fn params(&mut self) -> Vec<Param<'_>> {
         self.all_params()
     }
@@ -411,6 +417,32 @@ mod tests {
         inner.push(Relu::new());
         inner.push(Dense::new(72, 72, &mut rng));
         assert_params_only_matches_backward(Box::new(Residual::new(inner)), &flat);
+    }
+
+    #[test]
+    fn released_stack_keeps_its_inference_and_holds_no_gradients() {
+        let mut m = crate::models::lenet_mini(12, 4, 8);
+        let x = Tensor::from_vec(
+            &[2, 1, 12, 12],
+            (0..288).map(|i| ((i * 13) % 11) as f32 / 11.0).collect(),
+        );
+        let y = m.forward(&x, true);
+        m.backward_params(&y);
+        assert!(m
+            .all_params()
+            .iter()
+            .all(|p| p.grads.len() == p.values.len()));
+        let before = m.forward(&x, false);
+        m.release_training_state();
+        assert!(m.all_params().iter().all(|p| p.grads.is_empty()));
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&m.forward(&x, false)), bits(&before));
+        // The next training step re-creates the accumulators as zeros.
+        let _ = m.forward(&x, true);
+        assert!(m
+            .all_params()
+            .iter()
+            .all(|p| p.grads.len() == p.values.len() && p.grads.iter().all(|&g| g == 0.0)));
     }
 
     #[test]

@@ -42,7 +42,9 @@ impl Sgd {
     }
 
     /// Applies one update step from the gradients currently accumulated in
-    /// `model`, then zeroes them.
+    /// `model`, then zeroes them. A parameter with no accumulator (a layer
+    /// that has not trained since its training state was released) has a
+    /// zero gradient: only weight decay and momentum move it.
     ///
     /// # Panics
     ///
@@ -57,18 +59,28 @@ impl Sgd {
             params.len(),
             "parameter structure changed"
         );
+        let (lr, momentum, weight_decay) = (self.lr, self.momentum, self.weight_decay);
+        let update = |w: &mut f32, v: &mut f32, g: f32| {
+            let grad = g + weight_decay * *w;
+            *v = momentum * *v + grad;
+            *w -= lr * *v;
+        };
         for (p, vel) in params.into_iter().zip(&mut self.velocity) {
             assert_eq!(vel.len(), p.values.len(), "parameter size changed");
+            if p.grads.is_empty() {
+                for (w, v) in p.values.iter_mut().zip(vel.iter_mut()) {
+                    update(w, v, 0.0);
+                }
+                continue;
+            }
+            assert_eq!(p.grads.len(), p.values.len(), "gradient size changed");
             for ((w, g), v) in p
                 .values
                 .iter_mut()
                 .zip(p.grads.iter_mut())
                 .zip(vel.iter_mut())
             {
-                let grad = *g + self.weight_decay * *w;
-                *v = self.momentum * *v + grad;
-                *w -= self.lr * *v;
-                *g = 0.0;
+                update(w, v, std::mem::take(g));
             }
         }
     }

@@ -51,7 +51,9 @@ pub struct TrainReport {
 
 /// Trains `model` as a softmax classifier on `data`. Each step
 /// back-propagates into the parameters only ([`Layer::backward_params`]):
-/// no gradient w.r.t. the input images is computed. Callers that want the
+/// no gradient w.r.t. the input images is computed. After the last step the
+/// model's training state is released ([`Layer::release_training_state`]),
+/// so it leaves holding only what inference reads. Callers that want the
 /// training accuracy measure it with [`crate::metrics::evaluate_accuracy`].
 ///
 /// # Panics
@@ -81,6 +83,7 @@ pub fn train_classifier(model: &mut Sequential, data: &Dataset, cfg: &TrainConfi
         }
         epoch_losses.push((total / batches as f64) as f32);
     }
+    model.release_training_state();
     TrainReport { epoch_losses }
 }
 
