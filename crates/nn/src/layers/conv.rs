@@ -139,6 +139,14 @@ thread_local! {
     /// than allocated per call. Every element read was written in the same
     /// call.
     static DY_BLOCK: std::cell::Cell<Vec<f32>> = const { std::cell::Cell::new(Vec::new()) };
+    /// The workspace of an inference GEMM forward, reused across calls and
+    /// layers on this thread: the patch matrix, which `im2col` rewrites,
+    /// and the `[OC, N·OH·OW]` product, which the `gemm` driver
+    /// overwrites. A training forward keeps its patch matrix in the
+    /// layer's cache for the backward and allocates its product, so no
+    /// thread holds training-sized buffers once training ends.
+    static GEMM_COL: std::cell::Cell<Vec<f32>> = const { std::cell::Cell::new(Vec::new()) };
+    static GEMM_OUT: std::cell::Cell<Vec<f32>> = const { std::cell::Cell::new(Vec::new()) };
 }
 
 /// A 2-D convolution over `[N, C, H, W]` inputs with stride 1 and symmetric
@@ -305,8 +313,9 @@ impl Conv2d {
     /// GEMM forward: one batched product
     /// `tmp[OC, N·OH·OW] = W[OC, C·K·K] · col`, then a contiguous
     /// scatter-with-bias into the `[N, OC, OH, OW]` output layout. `col`
-    /// is refilled in place (a training call passes the previous step's
-    /// patch matrix).
+    /// is refilled in place: a training call passes the previous step's
+    /// patch matrix, an inference call the thread's [`GEMM_COL`], and
+    /// takes `tmp` from [`GEMM_OUT`].
     #[allow(clippy::too_many_arguments)]
     fn forward_gemm(
         &mut self,
@@ -322,7 +331,8 @@ impl Conv2d {
         let (ckk, ohow) = (c * self.kernel * self.kernel, oh * ow);
         let cols = n * ohow;
         im2col(x, n, c, h, w, self.kernel, self.padding, &mut col);
-        let mut tmp = vec![0.0f32; self.out_channels * cols];
+        let mut tmp = if train { Vec::new() } else { GEMM_OUT.take() };
+        tmp.resize(self.out_channels * cols, 0.0);
         gemm::gemm(
             self.out_channels,
             ckk,
@@ -345,6 +355,9 @@ impl Conv2d {
         }
         if train {
             self.cache = Some(ConvCache::Im2col { col, n, h, w });
+        } else {
+            GEMM_COL.set(col);
+            GEMM_OUT.set(tmp);
         }
         out
     }
@@ -696,7 +709,8 @@ impl Layer for Conv2d {
         };
         let ckk = c * self.kernel * self.kernel;
         if self.use_gemm(ckk, n * oh * ow) {
-            self.forward_gemm(x, train, spare, n, c, h, w)
+            let col = if train { spare } else { GEMM_COL.take() };
+            self.forward_gemm(x, train, col, n, c, h, w)
         } else {
             self.forward_direct(x, train, spare, n, c, h, w)
         }
@@ -1509,6 +1523,37 @@ mod tests {
         }
         for (va, vb) in a.params()[0].grads.iter().zip(b.params()[0].grads.iter()) {
             assert!((va - vb).abs() < 1e-3, "weight-grad mismatch: {va} vs {vb}");
+        }
+    }
+
+    #[test]
+    fn gemm_workspace_reuse_is_bit_identical() {
+        // Batches 1, 8 and 3 interleaved with a wider layer and a training
+        // forward, each on this thread's reused workspace, against the same
+        // call on a fresh thread whose workspace starts empty.
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut narrow = Conv2d::new(2, 5, 3, 1, &mut rng);
+        let mut wide = Conv2d::new(2, 9, 5, 2, &mut rng);
+        narrow.set_kernel_path(KernelPath::Gemm);
+        wide.set_kernel_path(KernelPath::Gemm);
+        let fresh = |conv: &Conv2d, x: &Tensor, train: bool| {
+            let mut conv = conv.clone();
+            std::thread::scope(|s| {
+                s.spawn(move || bits(conv.forward(x, train).as_slice()))
+                    .join()
+                    .expect("reference forward")
+            })
+        };
+        for (step, batch) in [1, 8, 3, 8, 1, 3].into_iter().enumerate() {
+            let x = Tensor::from_vec(&[batch, 2, 7, 6], mixed(batch * 84, step));
+            for (conv, train) in [(&mut narrow, false), (&mut wide, step % 2 == 1)] {
+                let want = fresh(conv, &x, train);
+                assert_eq!(
+                    bits(conv.forward(&x, train).as_slice()),
+                    want,
+                    "batch {batch}"
+                );
+            }
         }
     }
 

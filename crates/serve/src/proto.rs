@@ -13,8 +13,9 @@ use serde::{Deserialize, Serialize};
 use std::io::{Read, Write};
 
 /// Upper bound on one frame's JSON body. Generous for classification
-/// requests (a 32×32 float image is ~20 KiB of JSON) while still refusing
-/// nonsense lengths from corrupt or hostile prefixes.
+/// requests (a 32×32 float image is ~11 KiB of JSON, each pixel its
+/// shortest round-trip `f32` text) while still refusing nonsense lengths
+/// from corrupt or hostile prefixes.
 pub const MAX_FRAME_BYTES: u32 = 16 * 1024 * 1024;
 
 /// Largest buffer the reader allocates before any body byte has arrived.

@@ -29,8 +29,13 @@ pub enum Value {
     U64(u64),
     /// Negative integer (always < 0; non-negative integers use [`Value::U64`]).
     I64(i64),
-    /// Floating-point number.
+    /// Double-precision floating-point number (every float the JSON
+    /// parser reads).
     F64(f64),
+    /// Single-precision floating-point number, kept apart from
+    /// [`Value::F64`] so an emitter can print the shortest text that
+    /// identifies the `f32` rather than that of its widened `f64`.
+    F32(f32),
     /// String.
     Str(String),
     /// Ordered sequence.
@@ -176,6 +181,7 @@ impl Deserialize for f64 {
     fn deserialize(v: &Value) -> Result<Self, Error> {
         match v {
             Value::F64(x) => Ok(*x),
+            Value::F32(x) => Ok(f64::from(*x)),
             Value::U64(n) => Ok(*n as f64),
             Value::I64(n) => Ok(*n as f64),
             _ => Err(Error::expected("number", "f64")),
@@ -185,15 +191,16 @@ impl Deserialize for f64 {
 
 impl Serialize for f32 {
     fn serialize(&self) -> Value {
-        // f32 -> f64 is exact, so the round trip through text recovers the
-        // original f32 bit pattern for finite values.
-        Value::F64(f64::from(*self))
+        Value::F32(*self)
     }
 }
 
 impl Deserialize for f32 {
     fn deserialize(v: &Value) -> Result<Self, Error> {
-        f64::deserialize(v).map(|x| x as f32)
+        match v {
+            Value::F32(x) => Ok(*x),
+            other => f64::deserialize(other).map(|x| x as f32),
+        }
     }
 }
 
@@ -406,6 +413,11 @@ mod tests {
         assert_eq!(u64::deserialize(&42u64.serialize()).unwrap(), 42);
         assert_eq!(i32::deserialize(&(-7i32).serialize()).unwrap(), -7);
         assert_eq!(f32::deserialize(&1.5f32.serialize()).unwrap(), 1.5);
+        assert_eq!(f32::deserialize(&Value::F64(0.1)).unwrap(), 0.1f32);
+        assert_eq!(
+            f64::deserialize(&0.1f32.serialize()).unwrap(),
+            f64::from(0.1f32)
+        );
         assert!(bool::deserialize(&true.serialize()).unwrap());
         assert_eq!(
             String::deserialize(&"hi".to_string().serialize()).unwrap(),

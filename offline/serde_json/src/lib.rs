@@ -5,11 +5,27 @@
 //! uses: [`to_string`], [`from_str`], [`to_writer`], [`from_reader`].
 //!
 //! Number formatting follows real serde_json closely enough for the
-//! round-trip guarantees the tests rely on: integers print without a
-//! fractional part, floats use Rust's shortest-exact `{}` formatting, and
-//! whole-number floats print a trailing `.0` so they re-parse as floats.
+//! round-trip guarantees the tests rely on:
+//!
+//! - integers print without a fractional part;
+//! - an `f64` prints as Rust's shortest round-trip `{}` text for `f64`, and
+//!   an `f32` as the shortest `{}` text for `f32` (`0.1f32` is `0.1`, not
+//!   the `0.10000000149011612` of its widened `f64`), as real serde_json
+//!   prints them;
+//! - whole-number floats below 1e15 print a trailing `.0` so they re-parse
+//!   as floats;
+//! - non-finite floats print `null`.
+//!
+//! The parser reads every float as an `f64`, and an `f32` field casts it
+//! down. For exactly one `f32` magnitude, `±7.038531e-26` (bits
+//! `0x15AE43FD`), the shortest `f32` text rounds twice on that path and
+//! lands one bit away, so the emitter checks every `f32` it prints against
+//! that path and prints such a value as its widened `f64` instead. Every
+//! finite `f32` therefore round-trips bit for bit (an ignored test sweeps
+//! all of them). Integer literals too large for `u64`/`i64` parse as
+//! floats, as JSON readers do.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::io::{Read, Write};
 
 use serde::{Deserialize, Serialize, Value};
@@ -56,6 +72,7 @@ pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
 /// Deserializes an instance of `T` from a JSON string.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     let mut p = Parser {
+        src: s,
         bytes: s.as_bytes(),
         pos: 0,
     };
@@ -88,9 +105,10 @@ fn write_value(out: &mut String, v: &Value) {
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::U64(n) => out.push_str(&n.to_string()),
-        Value::I64(n) => out.push_str(&n.to_string()),
+        Value::U64(n) => write_display(out, n),
+        Value::I64(n) => write_display(out, n),
         Value::F64(x) => write_f64(out, *x),
+        Value::F32(x) => write_f32(out, *x),
         Value::Str(s) => write_string(out, s),
         Value::Array(items) => {
             out.push('[');
@@ -117,15 +135,44 @@ fn write_value(out: &mut String, v: &Value) {
     }
 }
 
+/// Appends `x`'s `{}` text to `out` in place, with no intermediate `String`.
+fn write_display(out: &mut String, x: impl fmt::Display) {
+    write!(out, "{x}").expect("writing to a String cannot fail");
+}
+
+/// Appends a finite float's shortest round-trip `{}` text, plus a `.0` on
+/// whole numbers below 1e15 (`{}` prints `3.0` as `3`), so it re-parses as
+/// a float.
+fn write_float(out: &mut String, x: impl fmt::Display, whole: bool) {
+    write_display(out, x);
+    if whole {
+        out.push_str(".0");
+    }
+}
+
 fn write_f64(out: &mut String, x: f64) {
-    if x.is_nan() || x.is_infinite() {
+    if x.is_finite() {
+        write_float(out, x, x == x.trunc() && x.abs() < 1e15);
+    } else {
         // Real serde_json emits null for non-finite floats.
         out.push_str("null");
-    } else if x == x.trunc() && x.abs() < 1e15 {
-        // `{}` would print "3" for 3.0; force a float-shaped literal.
-        out.push_str(&format!("{x:.1}"));
-    } else {
-        out.push_str(&format!("{x}"));
+    }
+}
+
+fn write_f32(out: &mut String, x: f32) {
+    if !x.is_finite() {
+        out.push_str("null");
+        return;
+    }
+    let start = out.len();
+    write_float(out, x, x == x.trunc() && x.abs() < 1e15);
+    // The parser reads the text as an `f64` and an `f32` field casts it
+    // down; where that double rounding misses `x`, print the exact widened
+    // `f64` instead.
+    let back = out[start..].parse::<f64>().map(|y| y as f32);
+    if back.map(f32::to_bits) != Ok(x.to_bits()) {
+        out.truncate(start);
+        write_f64(out, f64::from(x));
     }
 }
 
@@ -138,7 +185,9 @@ fn write_string(out: &mut String, s: &str) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                write!(out, "\\u{:04x}", c as u32).expect("writing to a String cannot fail");
+            }
             c => out.push(c),
         }
     }
@@ -148,7 +197,10 @@ fn write_string(out: &mut String, s: &str) {
 // ---- parser --------------------------------------------------------------
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
+    /// Byte offset of the next unread byte; always on a `char` boundary
+    /// between tokens and string runs.
     pos: usize,
 }
 
@@ -311,12 +363,15 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Advance over one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| Error::msg("invalid UTF-8 in string"))?;
-                    let c = rest.chars().next().expect("non-empty rest");
-                    s.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash. Both
+                    // are ASCII, so the run ends on a `char` boundary of the
+                    // already-validated input.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - self.pos);
+                    s.push_str(&self.src[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
                 None => return Err(Error::msg("unterminated string")),
             }
@@ -339,25 +394,27 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error::msg("invalid number"))?;
-        if is_float {
-            text.parse::<f64>()
-                .map(Value::F64)
-                .map_err(|_| Error::msg(format!("invalid number `{text}`")))
-        } else if let Some(stripped) = text.strip_prefix('-') {
+        let text = &self.src[start..self.pos];
+        let int = if is_float {
+            None
+        } else if let Some(digits) = text.strip_prefix('-') {
             // "-0" should stay an integer zero.
-            if stripped.chars().all(|c| c == '0') {
-                Ok(Value::U64(0))
+            if !digits.is_empty() && digits.bytes().all(|b| b == b'0') {
+                Some(Value::U64(0))
             } else {
-                text.parse::<i64>()
-                    .map(Value::I64)
-                    .map_err(|_| Error::msg(format!("invalid number `{text}`")))
+                text.parse::<i64>().ok().map(Value::I64)
             }
         } else {
-            text.parse::<u64>()
-                .map(Value::U64)
-                .map_err(|_| Error::msg(format!("invalid number `{text}`")))
+            text.parse::<u64>().ok().map(Value::U64)
+        };
+        // An integer literal beyond `u64`/`i64` reads as a float, as JSON
+        // readers do (`1e20f64` prints as `100000000000000000000`).
+        match int {
+            Some(v) => Ok(v),
+            None => text
+                .parse::<f64>()
+                .map(Value::F64)
+                .map_err(|_| Error::msg(format!("invalid number `{text}`"))),
         }
     }
 }
@@ -422,5 +479,113 @@ mod tests {
     #[test]
     fn trailing_garbage_errors() {
         assert!(from_str::<u32>("42 junk").is_err());
+        assert!(from_str::<i64>("-").is_err());
+    }
+
+    #[test]
+    fn f32_prints_its_shortest_text() {
+        assert_eq!(to_string(&0.1f32).unwrap(), "0.1");
+        assert_eq!(to_string(&-0.25f32).unwrap(), "-0.25");
+        assert_eq!(to_string(&3.0f32).unwrap(), "3.0");
+        assert_eq!(to_string(&-0.0f32).unwrap(), "-0.0");
+        assert_eq!(to_string(&vec![0.5f32, 1.0]).unwrap(), "[0.5,1.0]");
+        assert_eq!(to_string(&f32::NAN).unwrap(), "null");
+        assert_eq!(to_string(&f32::NEG_INFINITY).unwrap(), "null");
+        // f64 text is unchanged: widened f32 digits stay on the f64 path.
+        assert_eq!(
+            to_string(&f64::from(0.1f32)).unwrap(),
+            "0.10000000149011612"
+        );
+        assert_eq!(to_string(&1e15f64).unwrap(), "1000000000000000");
+    }
+
+    #[test]
+    fn double_rounding_f32_falls_back_to_f64_text() {
+        for bits in [0x15AE_43FDu32, 0x95AE_43FD] {
+            let x = f32::from_bits(bits);
+            // Its shortest f32 text misses by one bit through the f64 parse.
+            let shortest = x.to_string();
+            assert_ne!((shortest.parse::<f64>().unwrap() as f32).to_bits(), bits);
+            let json = to_string(&x).unwrap();
+            assert_eq!(json, to_string(&f64::from(x)).unwrap());
+            assert_eq!(from_str::<f32>(&json).unwrap().to_bits(), bits);
+        }
+    }
+
+    #[test]
+    fn integer_literals_beyond_64_bits_parse_as_floats() {
+        for x in [1e20f64, 2f64.powi(64), -1e19, 1e300] {
+            let json = to_string(&x).unwrap();
+            assert!(!json.contains('.'), "{json}");
+            assert_eq!(from_str::<f64>(&json).unwrap(), x, "{json}");
+        }
+        for x in [f32::MAX, f32::MIN, 3e38f32, 1e20f32] {
+            let json = to_string(&x).unwrap();
+            assert_eq!(
+                from_str::<f32>(&json).unwrap().to_bits(),
+                x.to_bits(),
+                "{json}"
+            );
+        }
+        // Literals that fit keep their integer kind.
+        assert_eq!(from_str::<u64>("18446744073709551615").unwrap(), u64::MAX);
+        assert_eq!(from_str::<i64>("-9223372036854775808").unwrap(), i64::MIN);
+        assert!(from_str::<u64>("18446744073709551616").is_err());
+        assert_eq!(
+            from_str::<f64>("-9223372036854775809").unwrap(),
+            -9223372036854775809.0
+        );
+    }
+
+    #[test]
+    fn multibyte_string_before_a_long_array_decodes_unchanged() {
+        let key = "caméra-✓-\u{1d11e} \"avant\"".to_string();
+        let pixels: Vec<f32> = (0..100_000).map(|i| i as f32 * 1e-3).collect();
+        let value = (key, pixels);
+        let json = to_string(&value).unwrap();
+        assert_eq!(from_str::<(String, Vec<f32>)>(&json).unwrap(), value);
+    }
+
+    /// Every finite `f32` through `to_string` and `from_str`, bit for bit.
+    /// Minutes in release on two cores:
+    /// `cargo test --release -p serde_json -- --ignored`.
+    #[test]
+    #[ignore]
+    fn every_finite_f32_round_trips() {
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let per = (1u64 << 32).div_ceil(threads as u64);
+        let failures: Vec<u32> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads as u64)
+                .map(|t| {
+                    scope.spawn(move || {
+                        let mut bad = Vec::new();
+                        let mut json = String::new();
+                        let end = ((t + 1) * per).min(1 << 32);
+                        for bits in (t * per..end).map(|b| b as u32) {
+                            let x = f32::from_bits(bits);
+                            if !x.is_finite() {
+                                continue;
+                            }
+                            json.clear();
+                            write_f32(&mut json, x);
+                            if from_str::<f32>(&json).map(f32::to_bits).ok() != Some(bits) {
+                                bad.push(bits);
+                            }
+                        }
+                        bad
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().expect("sweep worker"))
+                .collect()
+        });
+        assert!(
+            failures.is_empty(),
+            "{} failures, first {:08x?}",
+            failures.len(),
+            &failures[..failures.len().min(8)]
+        );
     }
 }
