@@ -104,6 +104,17 @@ gate_analyze() {
   # Dev profile on purpose: it reuses the build from the test gate, so the
   # whole gate is a quick re-scan + byte-compare.
   cargo run -q -p mvml-analyze -- --validate
+  # The structural DSPN certificate: petri_analyze rewrites
+  # results/ANALYSIS_petri.json in place (it explores the reactive nets), so
+  # the checked-out copy is kept aside and must come back byte for byte.
+  echo "== petri_analyze: DSPN certificate vs results/ANALYSIS_petri.json =="
+  local committed="target/ANALYSIS_petri.committed.json"
+  cp results/ANALYSIS_petri.json "$committed"
+  cargo run -q --release -p mvml-bench --bin petri_analyze >/dev/null
+  if ! cmp -s "$committed" results/ANALYSIS_petri.json; then
+    echo "results/ANALYSIS_petri.json is stale: re-run petri_analyze and commit it" >&2
+    return 1
+  fi
 }
 
 gate_benchmark() {

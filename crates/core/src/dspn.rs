@@ -301,20 +301,23 @@ pub fn expected_system_reliability_traced(
     } else {
         mv.net
     };
-    let pmh = mv.pmh;
-    let pmc = mv.pmc;
-    let pmf = mv.pmf;
-    let pmr = mv.pmr;
-    let model = StateReliability::new(params);
+    let (pmh, pmc) = (mv.pmh, mv.pmc);
     let solution = solve_steady_traced(&solvable, &opts.method, &opts.solver, recorder)?;
-    let value = solution.expected_reward(move |m| {
-        let rej = pmr.map_or(0, |p| m[p]) as usize;
-        model.reliability_of(SystemState::new(
-            m[pmh] as usize,
-            m[pmc] as usize,
-            m[pmf] as usize + rej,
-        ))
-    });
+    // A state's reliability depends on its healthy and compromised counts
+    // alone, so it is tabulated once per pair instead of once per marking.
+    let model = StateReliability::new(params);
+    let side = n as usize + 1;
+    let table: Vec<f64> = (0..side * side)
+        .map(|k| {
+            let (healthy, compromised) = (k / side, k % side);
+            if healthy + compromised < side {
+                model.reliability(healthy, compromised)
+            } else {
+                f64::NAN
+            }
+        })
+        .collect();
+    let value = solution.expected_reward(|m| table[m[pmh] as usize * side + m[pmc] as usize]);
     Ok((value, solution.info().clone()))
 }
 

@@ -1,12 +1,11 @@
 //! Exact steady-state solution of the embedded CTMC.
 
 use crate::error::PetriError;
-use crate::marking::Marking;
+use crate::marking::{Marking, MarkingIndex};
 use crate::model::Net;
-use crate::reach::{explore, ReachOptions, ReachabilityGraph};
+use crate::reach::{ReachOptions, ReachabilityGraph};
 use crate::reward::ExpectedReward;
-use crate::solve::{solve_graph, SolutionMethod};
-use std::collections::HashMap;
+use crate::solve::{solve_graph, solve_steady, SolutionMethod};
 
 /// Options for [`steady_state_with`].
 #[derive(Debug, Clone)]
@@ -38,25 +37,20 @@ impl Default for SolverOptions {
 pub struct SteadyState {
     markings: Vec<Marking>,
     probs: Vec<f64>,
-    /// Marking → state id, so point lookups are O(1) instead of a linear
-    /// scan over the (possibly Erlang-expanded, thousands-of-states) space.
-    // mvml-allow(determinism): lookup-only index; rewards iterate `markings`, never this map
-    index: HashMap<Marking, usize>,
+    /// Marking → state id for point lookups over the (possibly
+    /// Erlang-expanded, thousands-of-states) space, built on the first one.
+    index: MarkingIndex,
 }
 
 impl SteadyState {
-    /// Assembles a solution, building the marking-lookup index.
+    /// Assembles a solution; the marking-lookup index waits for its first
+    /// use.
     pub(crate) fn new(markings: Vec<Marking>, probs: Vec<f64>) -> Self {
         debug_assert_eq!(markings.len(), probs.len());
-        let index = markings
-            .iter()
-            .enumerate()
-            .map(|(i, m)| (m.clone(), i))
-            .collect();
         SteadyState {
             markings,
             probs,
-            index,
+            index: MarkingIndex::default(),
         }
     }
 
@@ -72,7 +66,9 @@ impl SteadyState {
 
     /// Stationary probability of the exact marking `m` (0 if unreachable).
     pub fn probability_of_marking(&self, m: &Marking) -> f64 {
-        self.index.get(m).map_or(0.0, |&i| self.probs[i])
+        self.index
+            .find(&self.markings, m)
+            .map_or(0.0, |i| self.probs[i])
     }
 }
 
@@ -102,8 +98,9 @@ pub fn steady_state(net: &Net) -> Result<SteadyState, PetriError> {
 ///
 /// See [`steady_state`].
 pub fn steady_state_with(net: &Net, opts: &SolverOptions) -> Result<SteadyState, PetriError> {
-    let graph = explore(net, &opts.reach)?;
-    steady_state_of_graph(&graph, opts)
+    Ok(solve_steady(net, &SolutionMethod::Auto, opts)?
+        .into_steady_state()
+        .expect("analytic backend yields a steady state"))
 }
 
 /// Solves a pre-computed reachability graph (the [`SolutionMethod::Auto`]

@@ -9,35 +9,124 @@
 //! * [`solve_gauss_seidel`] — sparse Gauss–Seidel sweeps; used for the
 //!   Erlang-expanded rejuvenation models whose state spaces reach a few
 //!   thousand states.
+//!
+//! Both read the chain as a [`Csr`] matrix: the reachability graph's
+//! outgoing edges, and for Gauss–Seidel their transpose
+//! ([`SparseGenerator`]), whose row `j` lists the states feeding `j` in
+//! ascending source order. That order fixes the order of every inflow sum,
+//! so each iterate is reproducible bit for bit.
 
 use crate::error::PetriError;
 
-/// A sparse CTMC generator stored as incoming-edge lists.
+/// A sparse matrix in compressed-sparse-row form: row `i` holds the column
+/// indices `cols[offsets[i]..offsets[i + 1]]` and the values alongside them
+/// in `values`.
+#[derive(Debug, Clone)]
+pub struct Csr {
+    /// Row start positions, `rows() + 1` entries, starting at 0.
+    pub offsets: Vec<usize>,
+    /// Column index of every stored entry, row by row.
+    pub cols: Vec<u32>,
+    /// Value of every stored entry, row by row.
+    pub values: Vec<f64>,
+}
+
+impl Default for Csr {
+    fn default() -> Self {
+        Csr {
+            offsets: vec![0],
+            cols: Vec::new(),
+            values: Vec::new(),
+        }
+    }
+}
+
+impl Csr {
+    /// Builds a matrix from per-row `(column, value)` lists.
+    #[cfg(test)]
+    pub(crate) fn from_rows(rows: &[Vec<(usize, f64)>]) -> Self {
+        let mut m = Csr::default();
+        for row in rows {
+            for &(c, v) in row {
+                m.cols.push(u32::try_from(c).expect("column fits in u32"));
+                m.values.push(v);
+            }
+            m.offsets.push(m.cols.len());
+        }
+        m
+    }
+
+    /// Number of rows.
+    pub fn rows(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// The column indices and values of row `i`.
+    pub fn row_slices(&self, i: usize) -> (&[u32], &[f64]) {
+        let r = self.offsets[i]..self.offsets[i + 1];
+        (&self.cols[r.clone()], &self.values[r])
+    }
+
+    /// `(column, value)` pairs of row `i`, in stored order.
+    pub fn row(&self, i: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let (cols, values) = self.row_slices(i);
+        cols.iter().zip(values).map(|(&c, &v)| (c as usize, v))
+    }
+}
+
+/// A sparse CTMC generator stored as incoming edges: the transpose of the
+/// outgoing-edge matrix, without self-loops.
 #[derive(Debug, Clone)]
 pub struct SparseGenerator {
-    /// `incoming[j]` lists `(i, q_ij)` for `i != j`.
-    pub incoming: Vec<Vec<(usize, f64)>>,
+    /// Row `j` lists `(i, q_ij)` for `i != j`, in ascending `i`.
+    pub incoming: Csr,
     /// Total exit rate of each state (`-q_jj`).
     pub exit: Vec<f64>,
 }
 
 impl SparseGenerator {
-    /// Builds the incoming-edge representation from outgoing-edge lists.
-    pub fn from_outgoing(edges: &[Vec<(usize, f64)>]) -> Self {
-        let n = edges.len();
-        let mut incoming = vec![Vec::new(); n];
+    /// Builds the incoming-edge representation from the outgoing-edge
+    /// matrix (`edges` row `i` lists `(j, q_ij)`).
+    pub fn from_outgoing(edges: &Csr) -> Self {
+        let n = edges.rows();
         let mut exit = vec![0.0; n];
-        for (i, out) in edges.iter().enumerate() {
-            for &(j, r) in out {
+        // Counting sort by target: a scan over sources in ascending order
+        // leaves every incoming row in ascending source order.
+        let mut offsets = vec![0usize; n + 1];
+        for i in 0..n {
+            for (j, _) in edges.row(i) {
                 // Self-loops leave the state unchanged and are irrelevant to
                 // the stationary distribution of a CTMC.
                 if i != j {
-                    exit[i] += r;
-                    incoming[j].push((i, r));
+                    offsets[j + 1] += 1;
                 }
             }
         }
-        SparseGenerator { incoming, exit }
+        for j in 0..n {
+            offsets[j + 1] += offsets[j];
+        }
+        let nnz = offsets[n];
+        let mut next = offsets[..n].to_vec();
+        let mut cols = vec![0u32; nnz];
+        let mut values = vec![0.0; nnz];
+        for (i, e) in exit.iter_mut().enumerate() {
+            for (j, r) in edges.row(i) {
+                if i != j {
+                    *e += r;
+                    cols[next[j]] = u32::try_from(i).expect("state ids fit in u32");
+                    values[next[j]] = r;
+                    next[j] += 1;
+                }
+            }
+        }
+        SparseGenerator {
+            incoming: Csr {
+                offsets,
+                cols,
+                values,
+            },
+            exit,
+        }
     }
 
     /// Number of states.
@@ -49,18 +138,25 @@ impl SparseGenerator {
     pub fn is_empty(&self) -> bool {
         self.exit.is_empty()
     }
+
+    /// Probability flow into state `j` under `pi`, summed in ascending
+    /// source order.
+    fn inflow(&self, j: usize, pi: &[f64]) -> f64 {
+        let (src, q) = self.incoming.row_slices(j);
+        src.iter().zip(q).map(|(&i, &q)| pi[i as usize] * q).sum()
+    }
 }
 
 /// Solves `πQ = 0, Σπ = 1` by dense Gaussian elimination.
 ///
-/// `edges[i]` lists outgoing `(j, q_ij)` pairs.
+/// `edges` row `i` lists outgoing `(j, q_ij)` pairs.
 ///
 /// # Errors
 ///
 /// Returns [`PetriError::SolverDiverged`] if the system is singular beyond
 /// numerical tolerance (e.g. a reducible chain).
-pub fn solve_dense(edges: &[Vec<(usize, f64)>]) -> Result<Vec<f64>, PetriError> {
-    let n = edges.len();
+pub fn solve_dense(edges: &Csr) -> Result<Vec<f64>, PetriError> {
+    let n = edges.rows();
     if n == 0 {
         return Ok(Vec::new());
     }
@@ -70,9 +166,9 @@ pub fn solve_dense(edges: &[Vec<(usize, f64)>]) -> Result<Vec<f64>, PetriError> 
     // Build A = Q^T, then overwrite the last row with the normalisation
     // Σπ = 1.  Solve A x = e_last.
     let mut a = vec![0.0f64; n * n];
-    for (i, out) in edges.iter().enumerate() {
+    for i in 0..n {
         let mut exit = 0.0;
-        for &(j, r) in out {
+        for (j, r) in edges.row(i) {
             // Self-loops do not change the state; skip them entirely.
             if i != j {
                 exit += r;
@@ -179,17 +275,25 @@ pub fn solve_gauss_seidel(
     let mut pi = vec![1.0 / n as f64; n];
     for sweep in 1..=max_sweeps {
         let mut max_rel_change = 0.0f64;
+        // The sweep's total, added in state order from the identity
+        // `Iterator::sum` starts at: the same bits as summing `pi` after the
+        // sweep, without a second dependent pass over it.
+        let mut sum: f64 = std::iter::empty::<f64>().sum();
         for j in 0..n {
-            let inflow: f64 = gen.incoming[j].iter().map(|&(i, q)| pi[i] * q).sum();
-            let new = inflow / gen.exit[j];
-            let denom = new.abs().max(1e-300);
-            let change = (new - pi[j]).abs() / denom;
-            if change > max_rel_change {
-                max_rel_change = change;
+            let new = gen.inflow(j, &pi) / gen.exit[j];
+            sum += new;
+            // The quotient only feeds the `max_rel_change < tol` test below,
+            // which a sweep fails once its maximum reaches `tol`; skipping
+            // the divide from then on leaves every iterate unchanged.
+            if max_rel_change < tol {
+                let denom = new.abs().max(1e-300);
+                let change = (new - pi[j]).abs() / denom;
+                if change > max_rel_change {
+                    max_rel_change = change;
+                }
             }
             pi[j] = new;
         }
-        let sum: f64 = pi.iter().sum();
         if sum <= 0.0 || !sum.is_finite() {
             return Err(PetriError::SolverDiverged {
                 iterations: sweep,
@@ -229,7 +333,7 @@ pub fn global_balance_residual(gen: &SparseGenerator, pi: &[f64]) -> f64 {
     let mut worst_violation = 0.0f64;
     let mut max_flow = 0.0f64;
     for j in 0..gen.len() {
-        let inflow: f64 = gen.incoming[j].iter().map(|&(i, q)| pi[i] * q).sum();
+        let inflow = gen.inflow(j, pi);
         let outflow = pi[j] * gen.exit[j];
         worst_violation = worst_violation.max((inflow - outflow).abs());
         max_flow = max_flow.max(inflow.abs()).max(outflow.abs());
@@ -246,7 +350,7 @@ pub fn global_balance_residual(gen: &SparseGenerator, pi: &[f64]) -> f64 {
 pub fn balance_residual(gen: &SparseGenerator, pi: &[f64]) -> f64 {
     let mut worst = 0.0f64;
     for j in 0..gen.len() {
-        let inflow: f64 = gen.incoming[j].iter().map(|&(i, q)| pi[i] * q).sum();
+        let inflow = gen.inflow(j, pi);
         let outflow = pi[j] * gen.exit[j];
         let scale = inflow.abs().max(outflow.abs()).max(1e-300);
         let v = (inflow - outflow).abs() / scale;
@@ -257,13 +361,110 @@ pub fn balance_residual(gen: &SparseGenerator, pi: &[f64]) -> f64 {
     worst
 }
 
+/// The Gauss–Seidel solver this module replaced, over per-state edge lists,
+/// kept as the reference that [`solve_gauss_seidel`] must match bit for bit.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use crate::error::PetriError;
+
+    struct Generator {
+        incoming: Vec<Vec<(usize, f64)>>,
+        exit: Vec<f64>,
+    }
+
+    fn balance_residual(gen: &Generator, pi: &[f64]) -> f64 {
+        let mut worst = 0.0f64;
+        for j in 0..gen.exit.len() {
+            let inflow: f64 = gen.incoming[j].iter().map(|&(i, q)| pi[i] * q).sum();
+            let outflow = pi[j] * gen.exit[j];
+            let scale = inflow.abs().max(outflow.abs()).max(1e-300);
+            let v = (inflow - outflow).abs() / scale;
+            if v > worst {
+                worst = v;
+            }
+        }
+        worst
+    }
+
+    pub(crate) fn solve_gauss_seidel(
+        edges: &[Vec<(usize, f64)>],
+        tol: f64,
+        max_sweeps: usize,
+    ) -> Result<Vec<f64>, PetriError> {
+        let n = edges.len();
+        let mut gen = Generator {
+            incoming: vec![Vec::new(); n],
+            exit: vec![0.0; n],
+        };
+        for (i, out) in edges.iter().enumerate() {
+            for &(j, r) in out {
+                if i != j {
+                    gen.exit[i] += r;
+                    gen.incoming[j].push((i, r));
+                }
+            }
+        }
+        if n == 0 {
+            return Ok(Vec::new());
+        }
+        if n == 1 {
+            return Ok(vec![1.0]);
+        }
+        for (j, &e) in gen.exit.iter().enumerate() {
+            if e <= 0.0 {
+                return Err(PetriError::InvalidParameter {
+                    what: format!("state {j} is absorbing; steady state requires an ergodic chain"),
+                });
+            }
+        }
+        let mut pi = vec![1.0 / n as f64; n];
+        for sweep in 1..=max_sweeps {
+            let mut max_rel_change = 0.0f64;
+            for j in 0..n {
+                let inflow: f64 = gen.incoming[j].iter().map(|&(i, q)| pi[i] * q).sum();
+                let new = inflow / gen.exit[j];
+                let denom = new.abs().max(1e-300);
+                let change = (new - pi[j]).abs() / denom;
+                if change > max_rel_change {
+                    max_rel_change = change;
+                }
+                pi[j] = new;
+            }
+            let sum: f64 = pi.iter().sum();
+            if sum <= 0.0 || !sum.is_finite() {
+                return Err(PetriError::SolverDiverged {
+                    iterations: sweep,
+                    residual: sum,
+                });
+            }
+            for v in &mut pi {
+                *v /= sum;
+            }
+            if max_rel_change < tol {
+                let residual = balance_residual(&gen, &pi);
+                if residual < tol.sqrt().max(1e-8) {
+                    return Ok(pi);
+                }
+            }
+        }
+        let residual = balance_residual(&gen, &pi);
+        if residual < 1e-8 {
+            return Ok(pi);
+        }
+        Err(PetriError::SolverDiverged {
+            iterations: max_sweeps,
+            residual,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     /// Two-state chain: 0 -(a)-> 1, 1 -(b)-> 0; π0 = b/(a+b).
-    fn two_state(a: f64, b: f64) -> Vec<Vec<(usize, f64)>> {
-        vec![vec![(1, a)], vec![(0, b)]]
+    fn two_state(a: f64, b: f64) -> Csr {
+        Csr::from_rows(&[vec![(1, a)], vec![(0, b)]])
     }
 
     #[test]
@@ -276,13 +477,13 @@ mod tests {
     #[test]
     fn gauss_seidel_matches_dense() {
         // Random-ish 5-state ring with extra chords.
-        let edges = vec![
+        let edges = Csr::from_rows(&[
             vec![(1, 2.0), (3, 0.5)],
             vec![(2, 1.0)],
             vec![(3, 4.0), (0, 0.25)],
             vec![(4, 1.5)],
             vec![(0, 3.0), (2, 0.1)],
-        ];
+        ]);
         let dense = solve_dense(&edges).unwrap();
         let gs =
             solve_gauss_seidel(&SparseGenerator::from_outgoing(&edges), 1e-14, 100_000).unwrap();
@@ -295,7 +496,7 @@ mod tests {
     fn gauss_seidel_handles_stiff_rates() {
         // Rates spanning seven orders of magnitude (the paper's models mix
         // 1/1523 s⁻¹ compromise rates with 2 s⁻¹ repairs).
-        let edges = vec![vec![(1, 6.57e-4)], vec![(2, 6.57e-4)], vec![(0, 2.0)]];
+        let edges = Csr::from_rows(&[vec![(1, 6.57e-4)], vec![(2, 6.57e-4)], vec![(0, 2.0)]]);
         let dense = solve_dense(&edges).unwrap();
         let gs =
             solve_gauss_seidel(&SparseGenerator::from_outgoing(&edges), 1e-14, 100_000).unwrap();
@@ -306,22 +507,23 @@ mod tests {
 
     #[test]
     fn singleton_chain() {
-        assert_eq!(solve_dense(&[vec![]]).unwrap(), vec![1.0]);
-        let gen = SparseGenerator::from_outgoing(&[vec![]]);
+        let one = Csr::from_rows(&[vec![]]);
+        assert_eq!(solve_dense(&one).unwrap(), vec![1.0]);
+        let gen = SparseGenerator::from_outgoing(&one);
         assert_eq!(solve_gauss_seidel(&gen, 1e-12, 10).unwrap(), vec![1.0]);
     }
 
     #[test]
     fn empty_chain() {
-        assert!(solve_dense(&[]).unwrap().is_empty());
-        let gen = SparseGenerator::from_outgoing(&[]);
+        assert!(solve_dense(&Csr::default()).unwrap().is_empty());
+        let gen = SparseGenerator::from_outgoing(&Csr::default());
         assert!(gen.is_empty());
         assert!(solve_gauss_seidel(&gen, 1e-12, 10).unwrap().is_empty());
     }
 
     #[test]
     fn absorbing_state_rejected_by_gs() {
-        let edges = vec![vec![(1, 1.0)], vec![]];
+        let edges = Csr::from_rows(&[vec![(1, 1.0)], vec![]]);
         let gen = SparseGenerator::from_outgoing(&edges);
         assert!(matches!(
             solve_gauss_seidel(&gen, 1e-12, 10),
@@ -331,11 +533,11 @@ mod tests {
 
     #[test]
     fn probabilities_sum_to_one_and_are_nonnegative() {
-        let edges = vec![
+        let edges = Csr::from_rows(&[
             vec![(1, 1.0), (2, 2.0)],
             vec![(0, 0.5), (2, 0.5)],
             vec![(0, 1.0)],
-        ];
+        ]);
         for pi in [
             solve_dense(&edges).unwrap(),
             solve_gauss_seidel(&SparseGenerator::from_outgoing(&edges), 1e-14, 100_000).unwrap(),
@@ -348,13 +550,13 @@ mod tests {
 
     #[test]
     fn global_residual_tracks_solution_quality() {
-        let edges = vec![
+        let edges = Csr::from_rows(&[
             vec![(1, 2.0), (3, 0.5)],
             vec![(2, 1.0)],
             vec![(3, 4.0), (0, 0.25)],
             vec![(4, 1.5)],
             vec![(0, 3.0), (2, 0.1)],
-        ];
+        ]);
         let gen = SparseGenerator::from_outgoing(&edges);
         let pi = solve_dense(&edges).unwrap();
         assert!(global_balance_residual(&gen, &pi) < 1e-12);
@@ -369,7 +571,7 @@ mod tests {
     fn self_loops_are_ignored_in_balance() {
         // A self loop contributes to exit and inflow identically; the solver
         // must not double count. Model: q_00 self loop plus real edge.
-        let edges = vec![vec![(0, 5.0), (1, 1.0)], vec![(0, 1.0)]];
+        let edges = Csr::from_rows(&[vec![(0, 5.0), (1, 1.0)], vec![(0, 1.0)]]);
         let pi = solve_dense(&edges).unwrap();
         // With the self-loop removed this is the symmetric two-state chain…
         // except exit(0) includes the loop. Steady state of a CTMC is

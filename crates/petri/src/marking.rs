@@ -3,6 +3,7 @@
 use crate::model::PlaceId;
 use std::fmt;
 use std::ops::Index;
+use std::sync::OnceLock;
 
 /// A marking assigns a token count to every place of a net.
 ///
@@ -64,6 +65,10 @@ impl Marking {
         self.0[place] = tokens;
     }
 
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [u32] {
+        &mut self.0
+    }
+
     pub(crate) fn get(&self, place: usize) -> u32 {
         self.0[place]
     }
@@ -96,9 +101,39 @@ impl fmt::Display for Marking {
     }
 }
 
+impl From<&[u32]> for Marking {
+    fn from(tokens: &[u32]) -> Self {
+        Marking(tokens.into())
+    }
+}
+
 impl From<Vec<u32>> for Marking {
     fn from(tokens: Vec<u32>) -> Self {
         Marking::new(tokens)
+    }
+}
+
+/// Point lookups of markings in a distinct-marking list, built on the
+/// first lookup: state ids sorted by marking, searched by bisection.
+/// Solutions that are only integrated against rewards never pay for it.
+#[derive(Debug, Default)]
+pub(crate) struct MarkingIndex(OnceLock<Vec<u32>>);
+
+impl MarkingIndex {
+    /// Position of `m` in `markings`, which must hold distinct markings and
+    /// be the same list on every call.
+    pub(crate) fn find(&self, markings: &[Marking], m: &Marking) -> Option<usize> {
+        let sorted = self.0.get_or_init(|| {
+            let mut ids: Vec<u32> = (0..markings.len())
+                .map(|i| u32::try_from(i).expect("state ids fit in u32"))
+                .collect();
+            ids.sort_unstable_by(|&a, &b| markings[a as usize].cmp(&markings[b as usize]));
+            ids
+        });
+        sorted
+            .binary_search_by(|&i| markings[i as usize].cmp(m))
+            .ok()
+            .map(|k| sorted[k] as usize)
     }
 }
 

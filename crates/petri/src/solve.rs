@@ -10,6 +10,14 @@
 //! simulator. Downstream code (e.g. `mvml-core`'s reliability solver and
 //! the `nscale` sweep) records this provenance next to every number it
 //! emits.
+//!
+//! The analytic backends read the reachability graph's CSR edges:
+//! [`solve_graph`] transposes them once into a
+//! [`crate::linalg::SparseGenerator`] (for Gauss–Seidel and the residual)
+//! and hands the rows to [`crate::linalg::solve_dense`] directly. A
+//! solution's marking lookup index is built on first use, not per solve,
+//! and [`solve_steady`] moves the markings of the graph it explored into
+//! the solution rather than copying them.
 
 use crate::ctmc::SteadyState;
 use crate::error::PetriError;
@@ -198,7 +206,12 @@ pub fn solve_steady_traced(
         }
         _ => {
             let graph = explore(net, &opts.reach)?;
-            solve_graph(&graph, method, opts)?
+            let (probs, info) = solve_chain(&graph, method, opts)?;
+            // The graph dies here, so its markings move into the solution.
+            Solution {
+                repr: Repr::Analytic(SteadyState::new(graph.markings, probs)),
+                info,
+            }
         }
     };
     recorder.emit_timed(span.stop(), || TelemetryEvent::SolverRun {
@@ -222,6 +235,19 @@ pub fn solve_graph(
     method: &SolutionMethod,
     opts: &SolverOptions,
 ) -> Result<Solution, PetriError> {
+    let (probs, info) = solve_chain(graph, method, opts)?;
+    Ok(Solution {
+        repr: Repr::Analytic(SteadyState::new(graph.markings.clone(), probs)),
+        info,
+    })
+}
+
+/// The stationary probabilities of `graph`'s chain, by state id.
+fn solve_chain(
+    graph: &ReachabilityGraph,
+    method: &SolutionMethod,
+    opts: &SolverOptions,
+) -> Result<(Vec<f64>, SolutionInfo), PetriError> {
     let n = graph.state_count();
     let gen = SparseGenerator::from_outgoing(&graph.edges);
     let (probs, backend) = match method {
@@ -255,10 +281,7 @@ pub fn solve_graph(
         states: n,
         residual: global_balance_residual(&gen, &probs),
     };
-    Ok(Solution {
-        repr: Repr::Analytic(SteadyState::new(graph.markings.clone(), probs)),
-        info,
-    })
+    Ok((probs, info))
 }
 
 #[cfg(test)]

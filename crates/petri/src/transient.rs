@@ -15,7 +15,7 @@
 
 use crate::ctmc::SteadyState;
 use crate::error::PetriError;
-use crate::marking::Marking;
+use crate::marking::{Marking, MarkingIndex};
 use crate::model::Net;
 use crate::reach::{explore, ReachOptions, ReachabilityGraph};
 use crate::reward::ExpectedReward;
@@ -25,10 +25,9 @@ use crate::reward::ExpectedReward;
 pub struct TransientSolution {
     markings: Vec<Marking>,
     probs: Vec<f64>,
-    /// Marking → state id for O(1) point lookups (mirrors
-    /// [`SteadyState::probability_of_marking`]).
-    // mvml-allow(determinism): lookup-only index; rewards iterate `markings`, never this map
-    index: std::collections::HashMap<Marking, usize>,
+    /// Marking → state id for point lookups (mirrors
+    /// [`SteadyState::probability_of_marking`]), built on the first one.
+    index: MarkingIndex,
     /// The time the distribution refers to.
     pub time: f64,
 }
@@ -36,15 +35,10 @@ pub struct TransientSolution {
 impl TransientSolution {
     fn new(markings: Vec<Marking>, probs: Vec<f64>, time: f64) -> Self {
         debug_assert_eq!(markings.len(), probs.len());
-        let index = markings
-            .iter()
-            .enumerate()
-            .map(|(i, m)| (m.clone(), i))
-            .collect();
         TransientSolution {
             markings,
             probs,
-            index,
+            index: MarkingIndex::default(),
             time,
         }
     }
@@ -61,7 +55,9 @@ impl TransientSolution {
 
     /// Probability of the exact marking `m` at this time (0 if unreachable).
     pub fn probability_of_marking(&self, m: &Marking) -> f64 {
-        self.index.get(m).map_or(0.0, |&i| self.probs[i])
+        self.index
+            .find(&self.markings, m)
+            .map_or(0.0, |i| self.probs[i])
     }
 }
 
@@ -118,10 +114,11 @@ pub fn transient_of_graph(
     // contribute nothing to off-diagonal movement).
     let lambda = (0..n)
         .map(|s| {
-            graph.edges[s]
-                .iter()
-                .filter(|&&(t, _)| t != s)
-                .map(|&(_, r)| r)
+            graph
+                .edges
+                .row(s)
+                .filter(|&(t, _)| t != s)
+                .map(|(_, r)| r)
                 .sum::<f64>()
         })
         .fold(0.0f64, f64::max)
@@ -133,7 +130,7 @@ pub fn transient_of_graph(
         let mut out = vec![0.0f64; n];
         for s in 0..n {
             let mut stay = v[s];
-            for &(t, r) in &graph.edges[s] {
+            for (t, r) in graph.edges.row(s) {
                 if t == s {
                     continue;
                 }
