@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Repo CI gate: formatting, lints (warnings are errors), docs, full test
 # suite, the source-contract analyzer (mvml-analyze --validate), the
-# external benchmark package's build and tests, the campaign smoke + telemetry cross-validation gate, the serve TCP smoke
-# gate, the serve chaos smoke gate (wire-fault totality + rejuvenation
-# availability vs the DSPN model, byte-stable across reruns and shard
-# counts), and the perf-regression gate (which also cross-checks the serve
-# summary's deterministic accounting against the committed baseline).
+# external benchmark package's build and tests, the campaign smoke +
+# telemetry cross-validation gate, the serve TCP smoke gate, the serve chaos
+# smoke gate (wire-fault totality + rejuvenation availability vs the DSPN
+# model, byte-stable across reruns and shard counts), and the
+# perf-regression gate (A/B pairs of `bash benchmark/run.sh` against the
+# base commit, judged by the end-to-end bounds in BENCHMARK.json).
 #
 # Every gate runs through the harness below: each one prints a one-line
 # `gate <name>: ok (<seconds>s)` summary when it passes, and the script
@@ -17,10 +18,10 @@
 #                serve chaos perf tsan miri. Example: GATES="fmt,clippy,test".
 #                Unset/empty = the full default lane (tsan/miri only when
 #                their knobs below ask for them).
-#   PERF_GATE=0  skip the perf-regression gate (it re-measures the NN and
-#                petri benchmarks, ~minutes, and compares against the
-#                committed `results/BENCH_*.json` — which are host-specific,
-#                so skip it on hosts the baselines weren't measured on).
+#   PERF_GATE=0  skip the perf-regression gate (it builds the benchmark at
+#                this checkout and at the base commit and runs 40 benchmark
+#                processes, ~12 minutes on 2 vCPUs; it needs the base commit
+#                in the local history, e.g. a full clone with origin/main).
 #   MIRI=1       additionally run the nn kernel/thread-pool suite under miri
 #                to catch undefined behaviour in the unsafe SIMD microkernel
 #                layer (`nn::gemm`/`nn::quant` — see the unsafe census in
@@ -42,11 +43,16 @@ cd "$(dirname "$0")"
 KNOWN_GATES="fmt clippy docs test analyze benchmark campaign serve chaos perf tsan miri"
 CURRENT_GATE=""
 GATE_T0=0
+# The perf gate's base-commit worktree, removed on exit.
+PERF_WORKTREE=""
 
 on_exit() {
   local status=$?
   if [[ $status -ne 0 && -n "$CURRENT_GATE" ]]; then
     echo "ci.sh: gate '$CURRENT_GATE' FAILED (exit $status, $((SECONDS - GATE_T0))s in)" >&2
+  fi
+  if [[ -n "$PERF_WORKTREE" ]]; then
+    git worktree remove --force "$PERF_WORKTREE" 2>/dev/null || true
   fi
 }
 trap on_exit EXIT
@@ -160,8 +166,8 @@ gate_serve() {
   # drive a two-tenant mini load over the wire, and shut it down cleanly.
   # The final report must pass schema validation, the telemetry JSONL must be
   # non-empty valid JSON, and the *committed* results/BENCH_serve.json must
-  # still parse against the bench schema (the perf gate later cross-checks
-  # its deterministic half against a fresh run).
+  # still parse against the bench schema (tests/serve_bench_pinned.rs, in
+  # the test gate, re-runs it and requires the same reports).
   echo "== serve smoke: 2-tenant TCP round trip on an ephemeral port =="
   local port_file="target/serve-smoke.port"
   local report="target/serve-smoke-report.json"
@@ -248,23 +254,93 @@ PY
 }
 
 gate_perf() {
-  # Perf-regression gate: re-measure the benchmark summaries and fail when
-  # any tracked metric loses >25% of its committed-baseline throughput, when
-  # an absolute NN invariant breaks (int8 fast path below the 4× floor, the
-  # Auto conv router losing to a fixed path, negative multi-core GEMM
-  # scaling), or when the serve summary's deterministic accounting drifts
-  # from the committed baseline.
+  # Perf-regression gate: A/B pairs of `bash benchmark/run.sh`, the
+  # benchmark in BENCHMARK.json, run on this checkout and on its base
+  # commit. The base is the merge-base with origin/main (HEAD^ when HEAD is
+  # that merge-base), checked out in a worktree under target/. Each
+  # workload runs seeds 1..5, one run per side and seed, alternating which
+  # side goes first. The gate fails when a run exits non-zero or reports
+  # `"correct": false`, when the change fails a larger share of its
+  # operations, or when the change's median of an `end_to_end` metric is
+  # worse than the base's by more than that metric's `bound`. It only
+  # looks for regressions: five pairs are too few to claim a gain.
   if [[ "${PERF_GATE:-1}" != "1" ]]; then
     echo "PERF_GATE=0: skipping the perf-regression gate"
     return 0
   fi
-  echo "== perf gate: fresh benchmark summaries vs committed baselines =="
-  cargo run -q --release -p mvml-bench --bin bench_summary -- \
-    --out-dir target/perf-fresh >/dev/null
-  cargo run -q --release -p mvml-serve --bin serve_load -- \
-    --out target/perf-fresh/BENCH_serve.json >/dev/null
-  cargo run -q --release -p mvml-bench --bin perf_gate -- \
-    --baseline-dir results --fresh-dir target/perf-fresh
+  local pairs=5 out=target/perf-ab base w k side status
+  base=$(git merge-base HEAD origin/main)
+  [[ "$base" != "$(git rev-parse HEAD)" ]] || base=$(git rev-parse HEAD^)
+  echo "== perf gate: $pairs pairs per workload, this checkout vs base $(git rev-parse --short "$base") =="
+  PERF_WORKTREE=target/perf-base
+  # Clear what an interrupted run may have left behind.
+  git worktree remove --force "$PERF_WORKTREE" 2>/dev/null || rm -rf "$PERF_WORKTREE"
+  git worktree prune
+  git worktree add -q --detach "$PERF_WORKTREE" "$base"
+  # Each side builds its own benchmark, in its own benchmark/target.
+  local -A root=([base]="$PERF_WORKTREE" [change]=.)
+  rm -rf "$out"
+  mkdir -p "$out"
+  for w in $(python3 -c 'import json; print(*(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do
+    for ((k = 1; k <= pairs; k++)); do
+      for side in $( ((k % 2)) && echo base change || echo change base); do
+        status=0
+        (cd "${root[$side]}" \
+          && env -u CARGO_TARGET_DIR bash benchmark/run.sh --workload "$w" --seed "$k") \
+          >"$out/$side-$w-$k.txt" 2>"$out/$side-$w-$k.err" || status=$?
+        echo "exit $status" >>"$out/$side-$w-$k.txt"
+      done
+    done
+  done
+  # Each side's results.json (its last run, with host provenance).
+  cp benchmark/out/results.json "$out/change-results.json" || true
+  cp "$PERF_WORKTREE/benchmark/out/results.json" "$out/base-results.json" || true
+  python3 - "$out" "$pairs" <<'PY'
+import json, statistics, sys
+out, pairs = sys.argv[1], int(sys.argv[2])
+spec = json.load(open("BENCHMARK.json"))
+problems = []
+print(f"{'workload':<14} {'metric':<13} {'base':>11} {'change':>11} {'change/base':>11} {'bound':>6}  verdict")
+for w in (x["name"] for x in spec["workloads"]):
+    runs = {"base": [], "change": []}
+    for side, kept in runs.items():
+        for k in range(1, pairs + 1):
+            *body, status = open(f"{out}/{side}-{w}-{k}.txt").read().splitlines()
+            try:
+                result = json.loads(body[-1]) if body and body[-1].startswith("{") else {}
+            except ValueError:
+                result = {}
+            if status != "exit 0" or result.get("correct") is not True:
+                problems.append(f"{w}: {side} run with seed {k} failed "
+                                f"({status}, correct = {result.get('correct')})")
+            else:
+                kept.append(result)
+    if not all(runs.values()):
+        continue
+    share = {s: sum(r["failed"] for r in rs) / max(1, sum(r["attempted"] for r in rs))
+             for s, rs in runs.items()}
+    worse = share["change"] > share["base"]
+    print(f"{w:<14} {'failed share':<13} {share['base']:>11.4g} {share['change']:>11.4g} "
+          f"{'':>11} {'0':>6}  {'REGRESSED' if worse else 'ok'}")
+    if worse:
+        problems.append(f"{w}: the change fails a larger share of operations "
+                        f"({share['change']:.4g} vs {share['base']:.4g})")
+    for m in spec["end_to_end"]:
+        name = m["name"]
+        med = {s: statistics.median(r["metrics"][name]["value"] for r in rs) for s, rs in runs.items()}
+        ratio = med["change"] / med["base"]
+        loss = ratio - 1 if m["better"] == "lower" else 1 - ratio
+        bad = loss > m["bound"]
+        print(f"{w:<14} {name:<13} {med['base']:>11.5g} {med['change']:>11.5g} "
+              f"{ratio:>11.4f} {m['bound']:>6.2f}  {'REGRESSED' if bad else 'ok'}")
+        if bad:
+            problems.append(f"{w}: median {name} is {100 * loss:.1f}% worse than the base "
+                            f"({med['change']:.5g} vs {med['base']:.5g} {m['unit']}, "
+                            f"bound {100 * m['bound']:.0f}%)")
+for p in problems:
+    print(f"perf gate: {p}", file=sys.stderr)
+sys.exit(1 if problems else 0)
+PY
 }
 
 gate_tsan() {

@@ -27,7 +27,8 @@
 //!
 //! Suppressions use `// mvml-allow(rule): <justification>` on the
 //! offending line or the line above; they are mirrored into the report
-//! and must all be *used* (stale allows fail the gate).
+//! and must all be *used* (stale allows fail the gate). Likewise every
+//! module in the policy's two allow-lists must match a scanned module.
 
 pub mod lexer;
 pub mod policy;
@@ -37,6 +38,7 @@ pub mod scope;
 
 use policy::Policy;
 use report::{Finding, LintCoverageEntry, Report};
+use std::collections::BTreeSet;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -153,6 +155,9 @@ pub fn analyze_workspace(root: &Path, policy: &Policy, policy_path: &str) -> io:
 
     // The workspace root manifest is first-party too (it declares the
     // shared `[workspace.lints]` table and a root package).
+    // Every module path a scanned token sits in, for the stale allow-list
+    // check.
+    let mut scanned_modules = BTreeSet::new();
     let root_manifest = root.join("Cargo.toml");
     if root_manifest.is_file() {
         check_manifest(policy, root, &root_manifest, &mut report);
@@ -195,6 +200,11 @@ pub fn analyze_workspace(root: &Path, policy: &Policy, policy_path: &str) -> io:
                 let src_rel = file.strip_prefix(&src).unwrap_or(&file);
                 let base = module_path_of(&name, src_rel);
                 let scoped = scope::annotate(lexer::lex(&text), &base);
+                for sc in &scoped.scopes {
+                    if !scanned_modules.contains(&sc.module) {
+                        scanned_modules.insert(sc.module.clone());
+                    }
+                }
                 let rel = rel_display(root, &file);
                 rules::scan_file(policy, &rel, &scoped, &mut report);
                 report.files_scanned += 1;
@@ -204,6 +214,8 @@ pub fn analyze_workspace(root: &Path, policy: &Policy, policy_path: &str) -> io:
 
     let census = rules::unsafe_census_findings(policy, &report.unsafe_inventory, policy_path);
     report.findings.extend(census);
+    let stale = rules::stale_allow_list_findings(policy, &scanned_modules, policy_path);
+    report.findings.extend(stale);
     report.normalize();
     Ok(report)
 }

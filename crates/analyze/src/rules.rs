@@ -19,6 +19,7 @@
 use crate::policy::{Policy, Severity};
 use crate::report::{AllowEntry, Finding, Report, UnsafeEntry};
 use crate::scope::{module_matches, ScopedFile};
+use std::collections::BTreeSet;
 
 /// A parsed, well-formed allow annotation (before use-counting).
 struct Allow {
@@ -402,6 +403,51 @@ pub fn unsafe_census_findings(
     findings
 }
 
+/// Stale allow-list entries: a module prefix in
+/// `wall_clock_allowed_modules` or in `[rules.telemetry_purity]
+/// allowed_modules` that matches no scanned module. Such an entry exempts
+/// nothing today and silently exempts whatever module takes the name
+/// later, so, like census drift, it is a finding pinned to the policy
+/// file and outside the `mvml-allow` grammar.
+pub fn stale_allow_list_findings(
+    policy: &Policy,
+    scanned_modules: &BTreeSet<String>,
+    policy_path: &str,
+) -> Vec<Finding> {
+    let lists = [
+        (
+            "determinism",
+            policy.determinism.severity,
+            "wall_clock_allowed_modules",
+            &policy.determinism.wall_clock_allowed_modules,
+        ),
+        (
+            "telemetry_purity",
+            policy.telemetry_purity.severity,
+            "allowed_modules",
+            &policy.telemetry_purity.allowed_modules,
+        ),
+    ];
+    let mut findings = Vec::new();
+    for (rule, severity, key, entries) in lists {
+        for entry in entries {
+            if scanned_modules.iter().any(|m| module_matches(m, entry)) {
+                continue;
+            }
+            findings.push(Finding {
+                rule: rule.into(),
+                severity,
+                file: policy_path.to_string(),
+                line: 1,
+                module: entry.clone(),
+                message: format!("stale `{key}` entry `{entry}`: no scanned module matches it"),
+                allowed: None,
+            });
+        }
+    }
+    findings
+}
+
 /// The `// SAFETY: …` text closest above (or on) `line`, within `window`
 /// lines; empty when absent.
 fn safety_comment(scoped: &ScopedFile, line: u32, window: u32) -> String {
@@ -497,6 +543,37 @@ mod tests {
         // Empty census: the rule is inert.
         let off = crate::policy::parse("").expect("empty policy");
         assert!(unsafe_census_findings(&off, &stray, "policy.toml").is_empty());
+    }
+
+    #[test]
+    fn allow_list_entries_matching_no_scanned_module_are_stale() {
+        let policy = crate::policy::parse(
+            "[rules.determinism]\n\
+             wall_clock_allowed_modules = [\"obs\", \"bench::summary\", \"nn::tune\"]\n\
+             [rules.telemetry_purity]\n\
+             allowed_modules = [\"obs\", \"serve::shard\"]\n",
+        )
+        .expect("allow-list policy parses");
+        let scanned: BTreeSet<String> = ["obs::recorder", "bench::calibrate", "nn::tune::tests"]
+            .into_iter()
+            .map(String::from)
+            .collect();
+        let stale = stale_allow_list_findings(&policy, &scanned, "policy.toml");
+        let got: Vec<(&str, &str)> = stale
+            .iter()
+            .map(|f| (f.rule.as_str(), f.module.as_str()))
+            .collect();
+        // `bench::summary` shares a crate but not a module with
+        // `bench::calibrate`; a scanned submodule keeps `nn::tune` live.
+        assert_eq!(
+            got,
+            [
+                ("determinism", "bench::summary"),
+                ("telemetry_purity", "serve::shard")
+            ]
+        );
+        assert!(stale.iter().all(|f| f.file == "policy.toml" && f.line == 1));
+        assert!(stale[0].message.contains("wall_clock_allowed_modules"));
     }
 
     #[test]

@@ -95,160 +95,6 @@ pub fn add_sensor_noise(clean: &Tensor, sigma: f32, clutter: f64, rng: &mut StdR
     noisy
 }
 
-/// Fast sensor-noise backend for the throughput-oriented int8 perception
-/// path ([`crate::fastpath`]).
-///
-/// Statistically matched to [`add_sensor_noise`] — additive Gaussian noise
-/// of standard deviation `sigma` plus clutter speckles of probability
-/// `clutter` — but built so one 64-bit draw serves a whole cell: the
-/// Gaussian is an Irwin–Hall(3) approximation (three 21-bit uniforms from
-/// one xorshift64* output, support ±3σ) and the clutter test reuses the
-/// third uniform's raw bits. Deterministic per seed, but **not**
-/// stream-compatible with the reference `StdRng` Box–Muller path; every
-/// byte-stable committed artifact keeps using [`add_sensor_noise`].
-#[derive(Debug, Clone)]
-pub struct FastNoise {
-    /// Four independent xorshift64* lanes, consumed round-robin so the
-    /// serial shift/xor dependency chain overlaps across cells.
-    state: [u64; 4],
-    /// Scratch plane for the fused-quantization path: the f32 noise pass
-    /// and the i8 narrowing pass each vectorize on their own, where a
-    /// single fused loop defeats the vectorizer on the narrowing store.
-    /// Grown on first use, so the generator itself stays cheap to build.
-    scratch: Vec<f32>,
-}
-
-/// `2^-21`: converts a 21-bit draw to a uniform in `[0, 1)`.
-const U21: f32 = 1.0 / (1 << 21) as f32;
-
-impl FastNoise {
-    /// Seeds the generator (splitmix64 steps guarantee distinct non-zero
-    /// xorshift lane states for every seed, including 0).
-    pub fn new(seed: u64) -> Self {
-        let mut z = seed;
-        let mut state = [0u64; 4];
-        for lane in &mut state {
-            z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut s = z;
-            s = (s ^ (s >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            s = (s ^ (s >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            *lane = s | 1;
-        }
-        Self {
-            state,
-            scratch: Vec::new(),
-        }
-    }
-
-    /// One xorshift64* step on lane `lane`.
-    fn next(&mut self, lane: usize) -> u64 {
-        let mut x = self.state[lane];
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.state[lane] = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    /// One step of all four lanes at once — the autovectorizable core of
-    /// the bulk paths (the whole-array arithmetic is straight-line, so the
-    /// compiler can keep the four states in one vector register).
-    fn next4(&mut self) -> [u64; 4] {
-        let mut r = self.state;
-        for x in &mut r {
-            *x ^= *x >> 12;
-            *x ^= *x << 25;
-            *x ^= *x >> 27;
-        }
-        self.state = r;
-        r.map(|x| x.wrapping_mul(0x2545_F491_4F6C_DD1D))
-    }
-
-    /// Writes the noisy view of `clean` into `out`, clamped to `[0, 1]`
-    /// like the reference sensor model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != clean.len()`.
-    pub fn apply(&mut self, clean: &[f32], sigma: f32, clutter: f64, out: &mut [f32]) {
-        assert_eq!(out.len(), clean.len(), "output buffer must match grid");
-        let clutter_thr = clutter_threshold(clutter);
-        let mut chunks = out.chunks_exact_mut(4);
-        let mut xs = clean.chunks_exact(4);
-        for (vs, x4) in chunks.by_ref().zip(xs.by_ref()) {
-            let r4 = self.next4();
-            for ((v, &x), r) in vs.iter_mut().zip(x4).zip(r4) {
-                *v = noisy_cell(r, x, sigma, clutter_thr);
-            }
-        }
-        for (i, (v, &x)) in chunks
-            .into_remainder()
-            .iter_mut()
-            .zip(xs.remainder())
-            .enumerate()
-        {
-            let r = self.next(i & 3);
-            *v = noisy_cell(r, x, sigma, clutter_thr);
-        }
-    }
-
-    /// Like [`apply`](Self::apply), fused with symmetric int8 quantization
-    /// at the fixed scale `1/127` (the sensor range is `[0, 1]` by
-    /// construction): `q = round(v · 127)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != clean.len()`.
-    pub fn apply_quantized(&mut self, clean: &[f32], sigma: f32, clutter: f64, out: &mut [i8]) {
-        assert_eq!(out.len(), clean.len(), "output buffer must match grid");
-        // Two whole-plane passes over the scratch buffer (see its field
-        // doc); the draw sequence is exactly [`apply`]'s, so the fused
-        // path stays stream- and bit-compatible with quantizing it.
-        if self.scratch.len() < clean.len() {
-            self.scratch.resize(clean.len(), 0.0);
-        }
-        let mut scratch = std::mem::take(&mut self.scratch);
-        self.apply(clean, sigma, clutter, &mut scratch[..clean.len()]);
-        for (q, &v) in out.iter_mut().zip(&scratch) {
-            #[allow(clippy::cast_possible_truncation)]
-            {
-                // `v ∈ [0, 1]`, so `v·127 + 0.5` is exact in f32 (0.5 is a
-                // multiple of every ULP at this magnitude) and `as i32`
-                // truncation == floor == `f32::round`'s half-away-from-zero
-                // on the non-negative range — while vectorizing
-                // (cvttps2dq + packs) where a `round()` call would not.
-                *q = (v * 127.0 + 0.5) as i32 as i8;
-            }
-        }
-        self.scratch = scratch;
-    }
-}
-
-/// One cell of the sensor model from one 64-bit draw: clutter speckle or
-/// clamped Gaussian-perturbed intensity. Written select-style (both arms
-/// are cheap straight-line math) so the bulk paths vectorize.
-fn noisy_cell(r: u64, clean: f32, sigma: f32, clutter_thr: u64) -> f32 {
-    let u0 = (r & 0x1F_FFFF) as f32 * U21;
-    let raw2 = (r >> 42) & 0x1F_FFFF;
-    let speckle = 0.6f32.mul_add(u0, 0.4);
-    let u1 = ((r >> 21) & 0x1F_FFFF) as f32 * U21;
-    let g = (u0 + u1 + raw2 as f32 * U21 - 1.5) * 2.0;
-    let perturbed = sigma.mul_add(g, clean).clamp(0.0, 1.0);
-    if raw2 < clutter_thr {
-        speckle
-    } else {
-        perturbed
-    }
-}
-
-/// Clutter probability as a threshold over a 21-bit draw.
-fn clutter_threshold(clutter: f64) -> u64 {
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    {
-        (clutter.clamp(0.0, 1.0) * (1u64 << 21) as f64).round() as u64
-    }
-}
-
 #[cfg(test)]
 // Exact float assertions are deliberate here: the expected values are
 // produced by the same deterministic arithmetic being tested.
@@ -335,52 +181,5 @@ mod tests {
     fn empty_scene_rasterises_empty() {
         let grid = rasterize(Vec2::new(3.0, 4.0), 1.0, &[]);
         assert!(grid.as_slice().iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn fast_noise_moments_match_the_reference_model() {
-        // 64k draws over a mid-grey cell with no clutter: the Irwin–Hall(3)
-        // approximation must land the requested mean and sigma closely.
-        let clean = vec![0.5f32; 1 << 16];
-        let mut out = vec![0.0f32; clean.len()];
-        FastNoise::new(42).apply(&clean, 0.08, 0.0, &mut out);
-        let n = out.len() as f64;
-        let mean: f64 = out.iter().map(|&v| f64::from(v)).sum::<f64>() / n;
-        let var: f64 = out
-            .iter()
-            .map(|&v| (f64::from(v) - mean).powi(2))
-            .sum::<f64>()
-            / n;
-        assert!((mean - 0.5).abs() < 0.005, "mean {mean}");
-        assert!((var.sqrt() - 0.08).abs() < 0.005, "sigma {}", var.sqrt());
-        assert!(out.iter().all(|&v| (0.0..=1.0).contains(&v)));
-    }
-
-    #[test]
-    fn fast_noise_clutter_rate_tracks_probability() {
-        // All-zero grid, tiny sigma: clutter speckles are the only cells
-        // that can exceed 0.35.
-        let clean = vec![0.0f32; 1 << 16];
-        let mut out = vec![0.0f32; clean.len()];
-        FastNoise::new(7).apply(&clean, 0.01, 0.02, &mut out);
-        let speckles = out.iter().filter(|&&v| v > 0.35).count();
-        let rate = speckles as f64 / out.len() as f64;
-        assert!((rate - 0.02).abs() < 0.005, "clutter rate {rate}");
-    }
-
-    #[test]
-    fn fast_noise_is_deterministic_per_seed_and_quantization_is_fused() {
-        let clean: Vec<f32> = (0..256).map(|i| i as f32 / 255.0).collect();
-        let mut a = vec![0.0f32; clean.len()];
-        let mut b = vec![0.0f32; clean.len()];
-        FastNoise::new(9).apply(&clean, 0.08, 0.002, &mut a);
-        FastNoise::new(9).apply(&clean, 0.08, 0.002, &mut b);
-        assert_eq!(a, b);
-        let mut q = vec![0i8; clean.len()];
-        FastNoise::new(9).apply_quantized(&clean, 0.08, 0.002, &mut q);
-        for (&qi, &fi) in q.iter().zip(&a) {
-            assert_eq!(qi, (fi * 127.0).round() as i8);
-            assert!((0..=127).contains(&qi));
-        }
     }
 }

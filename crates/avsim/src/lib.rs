@@ -35,7 +35,6 @@
 
 pub mod bev;
 pub mod detector;
-pub mod fastpath;
 pub mod geometry;
 pub mod overhead;
 pub mod perception;

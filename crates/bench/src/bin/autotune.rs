@@ -1,10 +1,10 @@
 //! Measures this host's preferred GEMM/conv tuning (`mvml_nn::tune`) and
 //! writes the deterministic tuning file consumed via `MVML_TUNE`, plus a
-//! per-candidate sample table for the perf-bench job summary.
+//! per-candidate sample table for the hosted `perf-ab` job summary.
 //!
-//! Usage (what the CI perf-bench lane runs):
+//! Usage (what the hosted `perf-ab` job runs):
 //!   cargo run --release -p mvml-bench --bin autotune -- \
-//!       --out target/perf-fresh/TUNE_host.txt
+//!       --out target/perf-ab/TUNE_host.txt
 //!
 //! The persistence format is byte-deterministic for a given winning
 //! tuning (sorted keys, one `key = value` per line), so re-running on an

@@ -8,8 +8,6 @@
 //!   DSPN cross-check) behind `results/CAMPAIGN_runtime.json`.
 //! * [`casestudy`] — the Tables VI–VIII pipeline (detector bank, parallel
 //!   route campaigns).
-//! * [`summary`] — host benchmark summaries (`BENCH_nn.json`,
-//!   `BENCH_petri.json`) and the CI perf-regression comparison over them.
 //! * [`mod@format`] — plain-text table rendering.
 //!
 //! | Binary | Regenerates |
@@ -23,8 +21,6 @@
 //! | `table8_overhead` | Table VIII (FPS / CPU / compute overhead) |
 //! | `petri_analyze` | Structural certificates for the paper nets (`results/ANALYSIS_petri.json`) |
 //! | `campaign` | Runtime fault-injection campaign (`results/CAMPAIGN_runtime.json`) |
-//!
-//! Criterion micro-benchmarks live under `benches/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,4 +34,3 @@ pub mod calibrate;
 pub mod campaign;
 pub mod casestudy;
 pub mod format;
-pub mod summary;

@@ -118,15 +118,12 @@ fn process_default() -> Exec {
     })
 }
 
-/// The worker count `MVML_THREADS` asks for, read once per process;
-/// `None` when it is unset, zero, or not an integer.
-pub fn threads_from_env() -> Option<usize> {
-    static CAP: OnceLock<Option<usize>> = OnceLock::new();
-    *CAP.get_or_init(|| {
-        std::env::var("MVML_THREADS")
-            .ok()
-            .and_then(|raw| parse_threads(&raw))
-    })
+/// The worker count `MVML_THREADS` asks for; `None` when it is unset,
+/// zero, or not an integer.
+fn threads_from_env() -> Option<usize> {
+    std::env::var("MVML_THREADS")
+        .ok()
+        .and_then(|raw| parse_threads(&raw))
 }
 
 fn parse_threads(raw: &str) -> Option<usize> {

@@ -25,25 +25,6 @@ use crate::exec;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc, Mutex};
 
-/// The canonical worker-count ladder benchmark sweeps measure at: `1, 2, 4`
-/// extended with the resolved context's thread count (sorted, deduplicated).
-///
-/// Every benchmark or example that sweeps thread counts must route through
-/// this single helper instead of hardcoding its own list, so the batch
-/// benchmarks and the long-running service resolve pool sizing from the
-/// same `MVML_THREADS` source and can never disagree. Perf-gate baselines
-/// join rows on thread count, so extending the ladder on a bigger host
-/// only *adds* rows (unmatched rows are ignored by the gate).
-pub fn bench_thread_sweep() -> Vec<usize> {
-    let mut sweep = vec![1usize, 2, 4];
-    let resolved = exec::current().threads;
-    if !sweep.contains(&resolved) {
-        sweep.push(resolved);
-    }
-    sweep.sort_unstable();
-    sweep
-}
-
 /// A scoped fan-out pool over a fixed number of workers.
 ///
 /// Not a persistent pool: each call splits its items into one contiguous
@@ -466,16 +447,6 @@ mod tests {
             assert_eq!(payload.downcast_ref::<&str>(), Some(&"slot died"));
             assert_eq!(exec::current(), mine);
         });
-    }
-
-    #[test]
-    fn bench_sweep_is_canonical_and_includes_resolved_count() {
-        let base = exec::current();
-        let sweep = |threads| exec::scoped(exec::Exec { threads, ..base }, bench_thread_sweep);
-        assert_eq!(sweep(1), vec![1, 2, 4]);
-        assert_eq!(sweep(2), vec![1, 2, 4]);
-        assert_eq!(sweep(8), vec![1, 2, 4, 8]);
-        assert_eq!(sweep(3), vec![1, 2, 3, 4]);
     }
 
     #[test]

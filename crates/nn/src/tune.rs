@@ -26,11 +26,10 @@
 //! [`autotune`] performs the actual measurement: it times candidate block
 //! sizes, the stream/packed crossover, and conv path crossovers on
 //! representative layer shapes, returning the winning [`Tuning`] plus the
-//! raw samples for reporting. It is the fix for the two honest defects in
-//! the committed baseline: conv1's `Auto` route losing to direct loops
-//! (the stream path plus measured thresholds), and negative GEMM thread
-//! scaling (the shared packed-B parallel driver, whose profitability
-//! threshold is tuned here).
+//! raw samples for reporting. It exists for two measured defects: conv1's
+//! `Auto` route losing to direct loops (the stream path plus measured
+//! thresholds), and negative GEMM thread scaling (the shared packed-B
+//! parallel driver, whose profitability threshold is tuned here).
 
 use crate::exec::{self, Exec};
 use crate::gemm;
@@ -152,7 +151,7 @@ pub struct Sample {
 }
 
 /// The result of a measurement run: the winning [`Tuning`] plus every
-/// raw sample, for reporting and for the perf-bench job summary.
+/// raw sample, for reporting and for the hosted `perf-ab` job summary.
 #[derive(Clone, Debug)]
 pub struct AutotuneOutcome {
     /// The tuning the measurements selected.

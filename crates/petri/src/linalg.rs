@@ -346,7 +346,7 @@ pub fn global_balance_residual(gen: &SparseGenerator, pi: &[f64]) -> f64 {
 }
 
 /// Maximum per-state *relative* violation of the global balance equations
-/// (the iterative solver's convergence criterion).
+/// (the iterative solver's convergence test).
 pub fn balance_residual(gen: &SparseGenerator, pi: &[f64]) -> f64 {
     let mut worst = 0.0f64;
     for j in 0..gen.len() {

@@ -181,7 +181,9 @@ pub struct ScenarioSummary {
     pub throughput_rps: f64,
 }
 
-/// `BENCH_serve.json`: the service benchmark summary the perf gate tracks.
+/// `BENCH_serve.json`: the service benchmark summary `serve_load` writes.
+/// Its embedded reports are deterministic, and `tests/serve_bench_pinned.rs`
+/// pins them.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServeSummary {
     /// Always [`BENCH_SCHEMA`].

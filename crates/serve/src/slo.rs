@@ -11,8 +11,8 @@
 //! Latency is accounted in *rounds*, not nanoseconds: a request admitted
 //! in round `a` and answered in round `b` aged `b − a` rounds in the
 //! queue. Round latency is a pure function of the trace and the batching
-//! config, so its p50/p99 belong in the deterministic report (and the
-//! perf gate), unlike the wall-clock digests in `bench`.
+//! config, so its p50/p99 belong in the deterministic report, unlike the
+//! wall-clock latency digests beside it in `BENCH_serve.json`.
 
 use crate::proto::{RejectReason, VerdictDto};
 use crate::report::{RoundLatencyReport, TenantReport};
