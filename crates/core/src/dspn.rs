@@ -20,7 +20,8 @@ use mvml_petri::{
     erlang_expand, solve_steady_traced, ExpectedReward, Marking, Net, NetBuilder, PetriError,
     PlaceId, ServerSemantics, SolutionInfo, SolutionMethod, SolverOptions, WeightSpec,
 };
-use std::sync::Arc;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// A built multi-version DSPN plus the place handles needed to interpret
 /// markings as system states.
@@ -67,18 +68,53 @@ fn check_n(n: u32) -> Result<(), PetriError> {
     Ok(())
 }
 
-/// Runs the structural analyzer on a freshly built model net and refuses to
-/// hand it out if any error-severity finding exists: every MVML net is
-/// certified before it reaches a solver.
-fn certify(net: Net) -> Result<Net, PetriError> {
-    let report = net.analyze();
-    if !report.is_certified() {
-        return Err(PetriError::StructurallyUnsound {
-            net: net.name().to_string(),
-            details: report.error_summary(),
-        });
+/// Which of the two model nets a structural certificate covers.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Variant {
+    /// Fig. 2, [`reactive_only`].
+    Reactive,
+    /// Fig. 3, [`with_proactive`].
+    Proactive,
+}
+
+/// Structural verdicts on the model nets, one per `(variant, n)`: `Ok`, or
+/// the error summary of an uncertified net.
+///
+/// [`Net::analyze`] reads the arcs, the initial marking, the guards and
+/// the constant immediate weights. For a given `(variant, n)` the builders
+/// fix all of them; the rates and the clock delay, the only parts
+/// [`SystemParams`] sets, are never read. So each shape is analysed once
+/// per process and every later build of that shape reuses the verdict.
+struct Certificates(Mutex<BTreeMap<(Variant, u32), Result<(), String>>>);
+
+static CERTIFICATES: Certificates = Certificates::new();
+
+impl Certificates {
+    const fn new() -> Self {
+        Certificates(Mutex::new(BTreeMap::new()))
     }
-    Ok(net)
+
+    /// Hands out a freshly built model net of `shape` only if that shape
+    /// is certified: every MVML net is certified before it reaches a
+    /// solver, and any error-severity finding refuses it.
+    fn certify(&self, shape: (Variant, u32), net: Net) -> Result<Net, PetriError> {
+        let mut verdicts = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        let verdict = verdicts.entry(shape).or_insert_with(|| {
+            let report = net.analyze();
+            if report.is_certified() {
+                Ok(())
+            } else {
+                Err(report.error_summary())
+            }
+        });
+        match verdict {
+            Ok(()) => Ok(net),
+            Err(details) => Err(PetriError::StructurallyUnsound {
+                net: net.name().to_string(),
+                details: details.clone(),
+            }),
+        }
+    }
 }
 
 /// Builds the Fig. 2 DSPN: failures, attacks and reactive rejuvenation only.
@@ -112,7 +148,7 @@ pub fn reactive_only(n: u32, params: &SystemParams) -> Result<MvmlNet, PetriErro
     b.input_arc(pmf, tr, 1)?;
     b.output_arc(tr, pmh, 1)?;
     Ok(MvmlNet {
-        net: certify(b.build()?)?,
+        net: CERTIFICATES.certify((Variant::Reactive, n), b.build()?)?,
         pmh,
         pmc,
         pmf,
@@ -216,7 +252,7 @@ pub fn with_proactive(n: u32, params: &SystemParams) -> Result<MvmlNet, PetriErr
     b.output_arc(trj, pmh, 1)?;
 
     Ok(MvmlNet {
-        net: certify(b.build()?)?,
+        net: CERTIFICATES.certify((Variant::Proactive, n), b.build()?)?,
         pmh,
         pmc,
         pmf,
@@ -572,6 +608,33 @@ mod tests {
             let pac = proactive.pac.unwrap().index();
             assert!(report.place_bounds[pac].is_none(), "proactive n={n}");
         }
+    }
+
+    #[test]
+    fn certificates_are_kept_per_shape_and_never_shared() {
+        let certs = Certificates::new();
+        let sound = || reactive_only(2, &paper()).unwrap().net;
+        // A dead transition: `t` needs two tokens from a place that holds
+        // one forever.
+        let unsound = || {
+            let mut b = NetBuilder::new("unsound");
+            let p = b.place("p", 1);
+            let t = b.exponential("t", 1.0);
+            b.input_arc(p, t, 2).unwrap();
+            b.output_arc(t, p, 2).unwrap();
+            b.build().unwrap()
+        };
+        let refused = |r: Result<Net, PetriError>| matches!(r, Err(PetriError::StructurallyUnsound { net, .. }) if net == "unsound");
+        assert!(certs.certify((Variant::Reactive, 2), sound()).is_ok());
+        // A certified shape vouches for no other n and no other variant.
+        assert!(refused(certs.certify((Variant::Reactive, 3), unsound())));
+        assert!(refused(certs.certify((Variant::Proactive, 2), unsound())));
+        // Each verdict is kept for its own shape: the analyzer does not run
+        // again, so a later net of a certified shape passes unanalysed and
+        // one of a refused shape stays refused.
+        assert!(certs.certify((Variant::Reactive, 2), unsound()).is_ok());
+        assert!(certs.certify((Variant::Reactive, 3), sound()).is_err());
+        assert_eq!(certs.0.lock().unwrap().len(), 3);
     }
 
     #[test]

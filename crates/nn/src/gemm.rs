@@ -3,21 +3,25 @@
 //!
 //! The kernel follows the classic BLIS decomposition: the operands are cut
 //! into `MC`×`KC` / `KC`×`NC` cache blocks, each block is repacked into
-//! contiguous `MR`-row / `NR`-column panels, and an `MR`×`NR` register-tile
-//! microkernel accumulates into vector registers. The microkernel has four
-//! implementations behind one dispatch point ([`Kernel`]): hand-written
-//! `std::arch` AVX2 and SSE2 kernels on x86-64, a NEON kernel on aarch64,
-//! and a portable scalar kernel everywhere. Each call runs the kernel of the
-//! execution context ([`crate::exec`]): the best one this host supports,
-//! unless a scoped override picks another (parity tests do).
+//! contiguous `MR`-row / `NR`-column panels, and an `MR`×`NR` = 8×32
+//! register-tile microkernel accumulates into vector registers. The
+//! microkernel has five implementations behind one dispatch point
+//! ([`Kernel`]): hand-written `std::arch` AVX-512F, AVX2 and SSE2 kernels
+//! on x86-64, a NEON kernel on aarch64, and a portable scalar kernel
+//! everywhere. Only AVX-512 holds the whole tile (16 accumulators, enough
+//! independent add chains to keep both vector add ports busy); the others
+//! sweep it in column strips. Each call runs the kernel of the execution
+//! context ([`crate::exec`]): the best one this host supports, unless a
+//! scoped override picks another (parity tests do).
 //!
 //! Two data paths cover the shapes the layers produce:
 //!
-//! - **Packed path**: `B` is packed once into `NR`-column panels shared by
-//!   every worker, then `MR`-row blocks of `A` are packed and multiplied.
-//!   The parallel driver fans *row blocks* out over threads against the
-//!   shared packed `B` — workers never re-pack each other's panels, which
-//!   is what restores 1→2 thread scaling on panel-bound shapes.
+//! - **Packed path**: `MR`-row blocks of `A` are packed and multiplied
+//!   against `NR`-column panels of `B`. A lone worker packs each
+//!   `(NC, KC)` block of `B` just before using it, into one reused buffer.
+//!   The parallel driver packs all of `B` once and fans *row blocks* out
+//!   over threads against it — workers never re-pack each other's panels,
+//!   which is what restores 1→2 thread scaling on panel-bound shapes.
 //! - **Stream path** (small `m`, row-major `B`): with at most
 //!   [`crate::tune::Tuning::stream_max_rows`] output rows, every packed
 //!   `B` panel would be used once — pure overhead. The microkernel instead
@@ -46,39 +50,51 @@
 //! matter which kernel runs, which path is chosen, or how many threads run
 //! it. The SIMD kernels deliberately use separate multiply and add
 //! instructions (never FMA): per lane that is the same IEEE-754 operation
-//! sequence as the scalar kernel, so `Scalar`, `Sse`, `Avx2` and `Neon`
-//! produce bitwise-identical results and committed artifacts stay valid on
-//! any host. For the same reason `KC` is a fixed constant — resizing it
-//! would regroup the per-element accumulation — while `MC`/`NC` and the
-//! path/parallel thresholds are tunable ([`crate::tune`]): they only move
-//! work between cache blocks and threads, never reorder a dot product.
+//! sequence as the scalar kernel, so `Scalar`, `Sse`, `Avx2`, `Avx512` and
+//! `Neon` produce bitwise-identical results and committed artifacts stay
+//! valid on any host. For the same reason `KC` is a fixed constant —
+//! resizing it would regroup the per-element accumulation — while `MC`/`NC`
+//! and the path/parallel thresholds are tunable ([`crate::tune`]): they
+//! only move work between cache blocks and threads, never reorder a dot
+//! product. The register tile's shape does not enter the order either:
+//! each tile element starts at zero, sums its `KC` block `k` ascending, and
+//! is then added to `C`.
 
 // The one crate module where `unsafe` is allowed (see `lib.rs`): the
 // `std::arch` microkernels and the disjoint-column-stripe writes below.
 #![allow(unsafe_code)]
 
 use crate::exec;
+use crate::tune::Tuning;
 
 /// Rows per register tile.
-pub(crate) const MR: usize = 4;
-/// Columns per register tile (one 8-lane AVX vector / two 4-lane SSE or
-/// NEON vectors).
-pub(crate) const NR: usize = 8;
+pub(crate) const MR: usize = 8;
+/// Columns per register tile: two 16-lane AVX-512 vectors per row. The
+/// narrower kernels walk the tile in column strips (see [`Kernel`]).
+pub(crate) const NR: usize = 32;
 /// Shared dimension per cache block. Fixed (not tunable): `KC` groups the
 /// per-element accumulation into partial sums, so changing it changes the
 /// floating-point result — see the module-level determinism note.
 pub(crate) const KC: usize = 256;
 
-/// Which microkernel implementation executes the register tile.
+/// Which microkernel implementation executes the `MR`×`NR` = 8×32
+/// register tile. Only AVX-512 holds the whole tile in registers (16
+/// accumulators); the narrower kernels compute it as independent column
+/// strips, each strip a full `kc` sweep, so every tile element still sums
+/// `k` ascending from zero.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Kernel {
-    /// Portable scalar kernel (LLVM autovectorizes the lane loop).
+    /// Portable scalar kernel, 8-column strips (LLVM autovectorizes the
+    /// lane loop).
     Scalar,
-    /// Hand-written SSE2 kernel (baseline on x86-64).
+    /// Hand-written SSE2 kernel, 4×8 sub-tiles (baseline on x86-64).
     Sse,
-    /// Hand-written AVX2 kernel (runtime-detected).
+    /// Hand-written AVX2 kernel, 8×8 strips (runtime-detected).
     Avx2,
-    /// Hand-written NEON kernel (baseline on aarch64).
+    /// Hand-written AVX-512F kernel, the whole 8×32 tile
+    /// (runtime-detected).
+    Avx512,
+    /// Hand-written NEON kernel, 8×8 strips (baseline on aarch64).
     Neon,
 }
 
@@ -89,6 +105,7 @@ impl Kernel {
             Kernel::Scalar => "scalar",
             Kernel::Sse => "sse",
             Kernel::Avx2 => "avx2",
+            Kernel::Avx512 => "avx512",
             Kernel::Neon => "neon",
         }
     }
@@ -96,7 +113,7 @@ impl Kernel {
 
 /// The microkernels this host can run, worst to best. Always starts with
 /// [`Kernel::Scalar`]; SIMD kernels are appended per target architecture
-/// with AVX2 runtime-detected.
+/// with AVX2 and AVX-512F runtime-detected.
 pub fn available_kernels() -> Vec<Kernel> {
     let mut ks = vec![Kernel::Scalar];
     #[cfg(target_arch = "x86_64")]
@@ -105,6 +122,11 @@ pub fn available_kernels() -> Vec<Kernel> {
         ks.push(Kernel::Sse);
         if std::arch::is_x86_feature_detected!("avx2") {
             ks.push(Kernel::Avx2);
+            // Only offered alongside AVX2: the int8 kernels run their AVX2
+            // code under `Kernel::Avx512` (see `quant::Int8Kernel`).
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                ks.push(Kernel::Avx512);
+            }
         }
     }
     #[cfg(target_arch = "aarch64")]
@@ -143,15 +165,6 @@ impl<'a> Mat<'a> {
             data,
             stride: stored_cols,
             transposed: true,
-        }
-    }
-
-    #[inline]
-    fn get(&self, i: usize, j: usize) -> f32 {
-        if self.transposed {
-            self.data[j * self.stride + i]
-        } else {
-            self.data[i * self.stride + j]
         }
     }
 }
@@ -290,26 +303,36 @@ fn driver(m: usize, k: usize, n: usize, a: Mat<'_>, b: Mat<'_>, c: &mut [f32], a
         return;
     }
 
-    let bp = pack_b_full(b, k, n, t.nc);
     let threads = threads.min(m.div_ceil(MR));
     if threads <= 1 {
-        multiply_rows(kernel, m, 0, k, n, a, &bp, c, t.mc);
+        multiply_rows(kernel, m, 0, k, n, a, BBlocks::Lazy(b), c, t);
         return;
     }
+    let bp = pack_b_full(b, k, n, t.nc);
     // Round row chunks up to MR so tile boundaries stay aligned and no
     // worker gets an empty range. Workers share the read-only packed B.
     let rows_per = m.div_ceil(threads).div_ceil(MR) * MR;
     let bp = &bp;
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for (chunk_idx, c_rows) in c.chunks_mut(rows_per * n).enumerate() {
             let row0 = chunk_idx * rows_per;
             let rows = c_rows.len() / n;
-            scope.spawn(move |_| {
-                multiply_rows(kernel, rows, row0, k, n, a, bp, c_rows, t.mc);
+            scope.spawn(move || {
+                multiply_rows(kernel, rows, row0, k, n, a, BBlocks::Shared(bp), c_rows, t);
             });
         }
-    })
-    .expect("gemm worker panicked");
+    });
+}
+
+/// Where the packed path's row kernel takes its `(NC, KC)` blocks of `B`.
+#[derive(Clone, Copy)]
+enum BBlocks<'a> {
+    /// All of `B`, packed up front and shared by every worker.
+    Shared(&'a PackedB),
+    /// Each block packed just before use into one reused buffer: a lone
+    /// worker visits every block once, so holding all of packed `B` would
+    /// only grow the footprint and evict the block from cache.
+    Lazy(Mat<'a>),
 }
 
 /// All of `B`, packed once into `NR`-column panels grouped by
@@ -319,8 +342,6 @@ struct PackedB {
     /// Offset of block `jc_idx * pc_count + pc_idx` in `data`.
     offsets: Vec<usize>,
     pc_count: usize,
-    /// The `NC` this matrix was packed with.
-    nc: usize,
 }
 
 impl PackedB {
@@ -363,14 +384,13 @@ fn pack_b_full(b: Mat<'_>, k: usize, n: usize, nc_block: usize) -> PackedB {
         data,
         offsets,
         pc_count,
-        nc: nc_block,
     }
 }
 
 /// Packed-path kernel over a row range: computes `C[row0..row0+rows, :]`
-/// into `c` (a `rows`×`n` slice) against the shared packed `B`.
-/// Accumulation order per element is fixed: `KC` blocks ascending, `k`
-/// ascending within each block.
+/// into `c` (a `rows`×`n` slice) against the blocks of `B`, which were
+/// packed with the `NC` of `t`. Accumulation order per element is fixed:
+/// `KC` blocks ascending, `k` ascending within each block.
 #[allow(clippy::too_many_arguments)]
 fn multiply_rows(
     kernel: Kernel,
@@ -379,49 +399,82 @@ fn multiply_rows(
     k: usize,
     n: usize,
     a: Mat<'_>,
-    bp: &PackedB,
+    b: BBlocks<'_>,
     c: &mut [f32],
-    mc_block: usize,
+    t: Tuning,
 ) {
-    let mut a_pack = vec![0.0f32; mc_block.div_ceil(MR) * MR * KC];
-    for (jc_idx, jc) in (0..n).step_by(bp.nc).enumerate() {
-        let nc = bp.nc.min(n - jc);
+    let (mc_block, nc_block) = (t.mc, t.nc);
+    let mut packs = PACKS.take();
+    let Packs {
+        a: a_pack,
+        b: b_pack,
+    } = &mut packs;
+    // `pack_a` writes every slot `multiply_block` reads.
+    a_pack.resize(a_pack.len().max(mc_block.div_ceil(MR) * MR * KC), 0.0);
+    for (jc_idx, jc) in (0..n).step_by(nc_block).enumerate() {
+        let nc = nc_block.min(n - jc);
         for (pc_idx, pc) in (0..k).step_by(KC).enumerate() {
             let kc = KC.min(k - pc);
-            let b_block = bp.block(jc_idx, pc_idx);
+            let b_block = match b {
+                BBlocks::Shared(bp) => bp.block(jc_idx, pc_idx),
+                BBlocks::Lazy(b) => {
+                    // `pack_b` writes every element, padding included.
+                    let len = nc.div_ceil(NR) * NR * kc;
+                    b_pack.resize(b_pack.len().max(len), 0.0);
+                    pack_b(&mut b_pack[..len], b, pc, kc, jc, nc);
+                    &b_pack[..len]
+                }
+            };
             for ic in (0..rows).step_by(mc_block) {
                 let mc = mc_block.min(rows - ic);
-                pack_a(&mut a_pack, a, row0 + ic, mc, pc, kc);
-                multiply_block(kernel, &a_pack, b_block, c, ic, mc, jc, nc, kc, n);
+                pack_a(a_pack, a, row0 + ic, mc, pc, kc);
+                multiply_block(kernel, a_pack, b_block, c, ic, mc, jc, nc, kc, n);
             }
         }
     }
+    PACKS.set(packs);
+}
+
+/// Packing buffers of the packed path, one pair per thread.
+#[derive(Default)]
+struct Packs {
+    a: Vec<f32>,
+    b: Vec<f32>,
+}
+
+thread_local! {
+    /// The packed `A` and lazily packed `B` blocks of [`multiply_rows`],
+    /// and the packed `A` of [`stream_driver`], reused across calls on
+    /// this thread instead of allocated and zeroed per call. They grow to
+    /// one `MC`×`KC` block of `A` (or all of a stream-path `A`, at most
+    /// `stream_max_rows` rows) and one `KC`×`NC` block of `B`.
+    static PACKS: std::cell::Cell<Packs> = const {
+        std::cell::Cell::new(Packs { a: Vec::new(), b: Vec::new() })
+    };
 }
 
 /// Packs `A[row0..row0+mc, pc..pc+kc]` into `MR`-row panels, each panel
 /// stored k-major (`panel[p*MR + r]`, panel stride `MR·kc`), zero-padding
 /// the row remainder so the microkernel never branches. When `A` is a
 /// stored transpose, each panel slot is a contiguous run of the stored
-/// layout and packs with `copy_from_slice` instead of scalar gathers.
+/// layout and packs with `copy_from_slice`; otherwise the panel's rows are
+/// interleaved ([`interleave_rows`]).
 fn pack_a(pack: &mut [f32], a: Mat<'_>, row0: usize, mc: usize, pc: usize, kc: usize) {
     for (panel_idx, panel) in pack.chunks_mut(MR * kc).enumerate().take(mc.div_ceil(MR)) {
-        let r0 = panel_idx * MR;
-        let live = MR.min(mc - r0);
-        if a.transposed && live == MR {
+        let r0 = row0 + panel_idx * MR;
+        let live = MR.min(row0 + mc - r0);
+        if a.transposed {
             for (p, slot) in panel.chunks_exact_mut(MR).enumerate().take(kc) {
-                let src = &a.data[(pc + p) * a.stride + row0 + r0..][..MR];
-                slot.copy_from_slice(src);
+                let (head, pad) = slot.split_at_mut(live);
+                head.copy_from_slice(&a.data[(pc + p) * a.stride + r0..][..live]);
+                pad.fill(0.0);
             }
         } else {
-            for (p, slot) in panel.chunks_exact_mut(MR).enumerate().take(kc) {
-                for (r, out) in slot.iter_mut().enumerate() {
-                    *out = if r < live {
-                        a.get(row0 + r0 + r, pc + p)
-                    } else {
-                        0.0
-                    };
-                }
+            let mut rows: [&[f32]; MR] = [&[]; MR];
+            for (r, row) in rows.iter_mut().enumerate().take(live) {
+                *row = &a.data[(r0 + r) * a.stride + pc..][..kc];
             }
+            interleave_rows::<MR>(panel, &rows[..live], kc);
         }
     }
 }
@@ -429,26 +482,53 @@ fn pack_a(pack: &mut [f32], a: Mat<'_>, row0: usize, mc: usize, pc: usize, kc: u
 /// Packs `B[pc..pc+kc, jc..jc+nc]` into `NR`-column panels, each panel
 /// stored k-major (`panel[p*NR + c]`, panel stride `NR·kc`), zero-padding
 /// the column remainder. For row-major `B` each panel slot is a contiguous
-/// row run, so the common case is a straight `copy_from_slice`.
+/// row run, so the common case is a straight `copy_from_slice`; a stored
+/// transpose has its panel's columns interleaved ([`interleave_rows`]).
 fn pack_b(pack: &mut [f32], b: Mat<'_>, pc: usize, kc: usize, jc: usize, nc: usize) {
     for (panel_idx, panel) in pack.chunks_mut(NR * kc).enumerate().take(nc.div_ceil(NR)) {
-        let c0 = panel_idx * NR;
-        let live = NR.min(nc - c0);
-        if !b.transposed && live == NR {
-            for (p, slot) in panel.chunks_exact_mut(NR).enumerate().take(kc) {
-                let src = &b.data[(pc + p) * b.stride + jc + c0..][..NR];
-                slot.copy_from_slice(src);
+        let c0 = jc + panel_idx * NR;
+        let live = NR.min(jc + nc - c0);
+        if b.transposed {
+            let mut cols: [&[f32]; NR] = [&[]; NR];
+            for (c, col) in cols.iter_mut().enumerate().take(live) {
+                *col = &b.data[(c0 + c) * b.stride + pc..][..kc];
             }
+            interleave_rows::<NR>(panel, &cols[..live], kc);
         } else {
             for (p, slot) in panel.chunks_exact_mut(NR).enumerate().take(kc) {
-                for (cc, out) in slot.iter_mut().enumerate() {
-                    *out = if cc < live {
-                        b.get(pc + p, jc + c0 + cc)
-                    } else {
-                        0.0
-                    };
-                }
+                let (head, pad) = slot.split_at_mut(live);
+                head.copy_from_slice(&b.data[(pc + p) * b.stride + c0..][..live]);
+                pad.fill(0.0);
             }
+        }
+    }
+}
+
+/// Writes up to `W` source rows of `kc` values k-major into a `W`-wide
+/// panel: `panel[p·W + r] = rows[r][p]` for `p < kc`, and zero for the
+/// missing rows `r ≥ rows.len()`. The rows are read in `BLOCK`-long runs,
+/// so each run is one vector load and the block a register transpose.
+fn interleave_rows<const W: usize>(panel: &mut [f32], rows: &[&[f32]], kc: usize) {
+    const BLOCK: usize = 8;
+    debug_assert!(rows.len() <= W);
+    let full = kc - kc % BLOCK;
+    for (p0, slots) in (0..full)
+        .step_by(BLOCK)
+        .zip(panel.chunks_exact_mut(BLOCK * W))
+    {
+        let block: [[f32; BLOCK]; W] = std::array::from_fn(|r| match rows.get(r) {
+            Some(row) => row[p0..p0 + BLOCK].try_into().expect("BLOCK run"),
+            None => [0.0; BLOCK],
+        });
+        for (q, slot) in slots.chunks_exact_mut(W).enumerate() {
+            for (out, run) in slot.iter_mut().zip(&block) {
+                *out = run[q];
+            }
+        }
+    }
+    for (p, slot) in panel.chunks_exact_mut(W).enumerate().take(kc).skip(full) {
+        for (r, out) in slot.iter_mut().enumerate() {
+            *out = rows.get(r).map_or(0.0, |row| row[p]);
         }
     }
 }
@@ -474,7 +554,7 @@ fn multiply_block(
         for (b_idx, b_panel) in b_block.chunks(NR * kc).enumerate().take(nc.div_ceil(NR)) {
             let c0 = b_idx * NR;
             let live_cols = NR.min(nc - c0);
-            let tile = run_microkernel(kernel, kc, a_panel, b_panel, NR);
+            let tile = run_microkernel(kernel, live_rows, kc, a_panel, b_panel, NR);
             for (r, tile_row) in tile.iter().enumerate().take(live_rows) {
                 let row = ic + r0 + r;
                 let dst = &mut c[row * n + jc + c0..row * n + jc + c0 + live_cols];
@@ -503,15 +583,34 @@ fn stream_driver(
     debug_assert!(!b.transposed);
     // All of A, packed once: panel stride MR·k, k-major — a KC-block
     // sub-panel is the contiguous slice [pc·MR, (pc+kc)·MR).
-    let mut a_pack = vec![0.0f32; m.div_ceil(MR) * MR * k];
-    pack_a(&mut a_pack, a, 0, m, 0, k);
+    let mut packs = PACKS.take();
+    let len = m.div_ceil(MR) * MR * k;
+    // `pack_a` writes every slot of its panels.
+    packs.a.resize(packs.a.len().max(len), 0.0);
+    pack_a(&mut packs.a[..len], a, 0, m, 0, k);
+    stream_packed(kernel, m, k, n, &packs.a[..len], b, c, threads);
+    PACKS.set(packs);
+}
 
+/// The stream path once all of `A` is packed into `a_pack`: one worker,
+/// or threads over disjoint `NR`-aligned column ranges of `C`.
+#[allow(clippy::too_many_arguments)]
+fn stream_packed(
+    kernel: Kernel,
+    m: usize,
+    k: usize,
+    n: usize,
+    a_pack: &[f32],
+    b: Mat<'_>,
+    c: &mut [f32],
+    threads: usize,
+) {
     let threads = threads.min(n.div_ceil(NR));
     if threads <= 1 {
         // SAFETY: the column range [0, n) covers C exactly once and the
         // pointer is derived from the exclusive borrow `c`; no other code
         // touches C until this call returns.
-        unsafe { stream_cols(kernel, m, k, n, &a_pack, b, c.as_mut_ptr(), 0, n) };
+        unsafe { stream_cols(kernel, m, k, n, a_pack, b, c.as_mut_ptr(), 0, n) };
         return;
     }
 
@@ -533,13 +632,12 @@ fn stream_driver(
 
     let cols_per = n.div_ceil(threads).div_ceil(NR) * NR;
     let c_base = SendPtr(c.as_mut_ptr());
-    let a_pack = &a_pack;
     let c_base = &c_base;
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let mut j_lo = 0usize;
         while j_lo < n {
             let j_hi = (j_lo + cols_per).min(n);
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 // SAFETY: `[j_lo, j_hi)` ranges are disjoint across workers
                 // and within [0, n); the scoped spawn keeps the borrow of C
                 // alive for the thread's lifetime.
@@ -547,8 +645,7 @@ fn stream_driver(
             });
             j_lo = j_hi;
         }
-    })
-    .expect("gemm worker panicked");
+    });
 }
 
 /// Stream-path worker: adds `A·B` contributions into the column range
@@ -577,7 +674,7 @@ unsafe fn stream_cols(
 ) {
     let panels = m.div_ceil(MR);
     // Scratch for the ragged last column tile, packed and zero-padded.
-    let mut tail = vec![0.0f32; NR * KC];
+    let mut tail = Vec::new();
     let mut j0 = j_lo;
     while j0 < j_hi {
         let live = NR.min(j_hi - j0);
@@ -588,15 +685,17 @@ unsafe fn stream_cols(
                 // element read is (pc+kc-1)*n + j0+NR <= k*n.
                 &b.data[pc * b.stride + j0..]
             } else {
-                pack_b(&mut tail[..NR * kc], b, pc, kc, j0, live);
-                &tail[..NR * kc]
+                // `pack_b` writes every element, padding included.
+                tail.resize(NR * kc, 0.0);
+                pack_b(&mut tail, b, pc, kc, j0, live);
+                &tail
             };
             let ldb = if live == NR { b.stride } else { NR };
             for (a_idx, a_panel_full) in a_pack.chunks(MR * k).enumerate().take(panels) {
                 let a_panel = &a_panel_full[pc * MR..(pc + kc) * MR];
-                let tile = run_microkernel(kernel, kc, a_panel, b_tile, ldb);
                 let r0 = a_idx * MR;
                 let live_rows = MR.min(m - r0);
+                let tile = run_microkernel(kernel, live_rows, kc, a_panel, b_tile, ldb);
                 for (r, tile_row) in tile.iter().enumerate().take(live_rows) {
                     let base = (r0 + r) * n + j0;
                     for (lane, add) in tile_row.iter().enumerate().take(live) {
@@ -610,24 +709,32 @@ unsafe fn stream_cols(
     }
 }
 
+/// One register tile: `tile[r][c]` for `r < MR`, `c < NR`.
+type Tile = [[f32; NR]; MR];
+
 /// Dispatches one `MR`×`NR` register tile to the active microkernel:
 /// `tile[r][c] = Σ_p a_panel[p·MR + r] · b[p·ldb + c]` over `kc` steps,
-/// `k` ascending. All implementations produce bitwise-identical tiles.
+/// `k` ascending. Only the first `rows` tile rows are used; the scalar,
+/// AVX2 and AVX-512 kernels compute just those (the others compute all
+/// `MR`), so a one-row product does not pay for seven rows of padding. All
+/// implementations produce bitwise-identical rows.
 #[inline]
 fn run_microkernel(
     kernel: Kernel,
+    rows: usize,
     kc: usize,
     a_panel: &[f32],
     b: &[f32],
     ldb: usize,
-) -> [[f32; NR]; MR] {
+) -> Tile {
+    assert!((1..=MR).contains(&rows), "tile rows out of range");
     assert!(a_panel.len() >= kc * MR, "packed A panel too short");
     assert!(
         kc == 0 || b.len() >= (kc - 1) * ldb + NR,
         "B region too short for kc={kc} ldb={ldb}"
     );
     match kernel {
-        Kernel::Scalar => microkernel_scalar(kc, a_panel, b, ldb),
+        Kernel::Scalar => microkernel_scalar(rows, kc, a_panel, b, ldb),
         #[cfg(target_arch = "x86_64")]
         Kernel::Sse => {
             // SAFETY: lengths checked above; SSE2 is baseline on x86-64.
@@ -635,9 +742,15 @@ fn run_microkernel(
         }
         #[cfg(target_arch = "x86_64")]
         Kernel::Avx2 => {
-            // SAFETY: lengths checked above; `Kernel::Avx2` is only
-            // reachable when `available_kernels` runtime-detected AVX2.
-            unsafe { x86::microkernel_avx2(kc, a_panel, b, ldb) }
+            // SAFETY: lengths and `rows` checked above; `Kernel::Avx2` is
+            // only reachable when `available_kernels` detected AVX2.
+            unsafe { x86::AVX2[rows - 1](kc, a_panel, b, ldb) }
+        }
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Avx512 => {
+            // SAFETY: lengths and `rows` checked above; `Kernel::Avx512` is
+            // only reachable when `available_kernels` detected AVX-512F.
+            unsafe { x86::AVX512[rows - 1](kc, a_panel, b, ldb) }
         }
         #[cfg(target_arch = "aarch64")]
         Kernel::Neon => {
@@ -647,24 +760,35 @@ fn run_microkernel(
         // Kernel variants for other architectures are never returned by
         // `available_kernels` on this target; fall back defensively.
         #[allow(unreachable_patterns)]
-        _ => microkernel_scalar(kc, a_panel, b, ldb),
+        _ => microkernel_scalar(rows, kc, a_panel, b, ldb),
     }
 }
 
-/// Portable reference microkernel. Fixed-size accumulator arrays +
-/// `chunks_exact` keep the tile in registers and let LLVM vectorize the
-/// `NR` lane loop.
+/// Columns per strip of the scalar, AVX2 and NEON kernels: one 8-lane
+/// vector (two on NEON), with `MR` accumulators per strip.
+const STRIP: usize = 8;
+
+/// Portable reference microkernel over the first `rows` tile rows. The
+/// tile is computed in `STRIP`-column strips whose fixed-size accumulator
+/// arrays stay in registers and let LLVM vectorize the lane loop.
 #[inline]
-fn microkernel_scalar(kc: usize, a_panel: &[f32], b: &[f32], ldb: usize) -> [[f32; NR]; MR] {
+fn microkernel_scalar(rows: usize, kc: usize, a_panel: &[f32], b: &[f32], ldb: usize) -> Tile {
     let mut tile = [[0.0f32; NR]; MR];
-    for p in 0..kc {
-        let a = &a_panel[p * MR..p * MR + MR];
-        let bv: &[f32; NR] = b[p * ldb..p * ldb + NR].try_into().expect("NR chunk");
-        for (r, tile_row) in tile.iter_mut().enumerate() {
-            let ar = a[r];
-            for (acc, &v) in tile_row.iter_mut().zip(bv) {
-                *acc += ar * v;
+    for j in (0..NR).step_by(STRIP) {
+        let mut acc = [[0.0f32; STRIP]; MR];
+        for p in 0..kc {
+            let a = &a_panel[p * MR..p * MR + rows];
+            let bv: &[f32; STRIP] = b[p * ldb + j..p * ldb + j + STRIP]
+                .try_into()
+                .expect("STRIP chunk");
+            for (acc_row, &ar) in acc.iter_mut().zip(a) {
+                for (x, &v) in acc_row.iter_mut().zip(bv) {
+                    *x += ar * v;
+                }
             }
+        }
+        for (tile_row, acc_row) in tile.iter_mut().zip(&acc) {
+            tile_row[j..j + STRIP].copy_from_slice(acc_row);
         }
     }
     tile
@@ -672,49 +796,121 @@ fn microkernel_scalar(kc: usize, a_panel: &[f32], b: &[f32], ldb: usize) -> [[f3
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    //! x86-64 microkernels. Both use separate multiply and add
+    //! x86-64 microkernels. All use separate multiply and add
     //! instructions — **never FMA** — so each lane performs the exact
     //! IEEE-754 operation sequence of the scalar kernel and results stay
     //! bitwise-identical across kernels (see the module determinism note).
 
-    use super::{MR, NR};
+    use super::{Tile, MR, NR, STRIP};
     #[allow(clippy::wildcard_imports)]
     use std::arch::x86_64::*;
 
-    /// AVX2 4×8 tile: one 8-lane vector per row, `a` broadcast per step.
+    /// A microkernel computing the first `R` rows of the tile, for each
+    /// `R` in `1..=MR` (index `R - 1`).
+    // SAFETY: a pointer type, not an operation; `run_microkernel` meets
+    // the entries' contract (below) before calling through a table.
+    type Rows = [unsafe fn(usize, &[f32], &[f32], usize) -> Tile; MR];
+
+    /// [`microkernel_avx512`] by row count.
+    pub(super) const AVX512: Rows = [
+        microkernel_avx512::<1>,
+        microkernel_avx512::<2>,
+        microkernel_avx512::<3>,
+        microkernel_avx512::<4>,
+        microkernel_avx512::<5>,
+        microkernel_avx512::<6>,
+        microkernel_avx512::<7>,
+        microkernel_avx512::<8>,
+    ];
+
+    /// [`microkernel_avx2`] by row count.
+    pub(super) const AVX2: Rows = [
+        microkernel_avx2::<1>,
+        microkernel_avx2::<2>,
+        microkernel_avx2::<3>,
+        microkernel_avx2::<4>,
+        microkernel_avx2::<5>,
+        microkernel_avx2::<6>,
+        microkernel_avx2::<7>,
+        microkernel_avx2::<8>,
+    ];
+
+    /// AVX-512F tile over its first `R` rows: two 16-lane vectors per
+    /// row, `2·R` independent accumulator chains (16 for a full tile), `a`
+    /// broadcast per step.
     ///
     /// # Safety
     ///
-    /// `a.len() >= kc*MR` and (for `kc > 0`) `b.len() >= (kc-1)*ldb + NR`;
-    /// the host must support AVX2.
+    /// `R <= MR`, `a.len() >= kc*MR` and (for `kc > 0`)
+    /// `b.len() >= (kc-1)*ldb + NR`; the host must support AVX-512F.
     // SAFETY: the contract above is asserted by `run_microkernel`, the
     // only caller; all pointer reads below stay inside those bounds.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn microkernel_avx2(
+    #[target_feature(enable = "avx512f")]
+    unsafe fn microkernel_avx512<const R: usize>(
         kc: usize,
         a: &[f32],
         b: &[f32],
         ldb: usize,
-    ) -> [[f32; NR]; MR] {
+    ) -> Tile {
         let ap = a.as_ptr();
         let bp = b.as_ptr();
-        let mut acc = [_mm256_setzero_ps(); MR];
+        let mut lo = [_mm512_setzero_ps(); R];
+        let mut hi = [_mm512_setzero_ps(); R];
         for p in 0..kc {
-            let bv = _mm256_loadu_ps(bp.add(p * ldb));
+            let blo = _mm512_loadu_ps(bp.add(p * ldb));
+            let bhi = _mm512_loadu_ps(bp.add(p * ldb + 16));
             let ar = ap.add(p * MR);
-            acc[0] = _mm256_add_ps(acc[0], _mm256_mul_ps(_mm256_set1_ps(*ar), bv));
-            acc[1] = _mm256_add_ps(acc[1], _mm256_mul_ps(_mm256_set1_ps(*ar.add(1)), bv));
-            acc[2] = _mm256_add_ps(acc[2], _mm256_mul_ps(_mm256_set1_ps(*ar.add(2)), bv));
-            acc[3] = _mm256_add_ps(acc[3], _mm256_mul_ps(_mm256_set1_ps(*ar.add(3)), bv));
+            for r in 0..R {
+                let av = _mm512_set1_ps(*ar.add(r));
+                lo[r] = _mm512_add_ps(lo[r], _mm512_mul_ps(av, blo));
+                hi[r] = _mm512_add_ps(hi[r], _mm512_mul_ps(av, bhi));
+            }
         }
         let mut tile = [[0.0f32; NR]; MR];
-        for (row, v) in tile.iter_mut().zip(acc) {
-            _mm256_storeu_ps(row.as_mut_ptr(), v);
+        for r in 0..R {
+            _mm512_storeu_ps(tile[r].as_mut_ptr(), lo[r]);
+            _mm512_storeu_ps(tile[r].as_mut_ptr().add(16), hi[r]);
         }
         tile
     }
 
-    /// SSE2 4×8 tile: two 4-lane vectors per row.
+    /// AVX2 tile over its first `R` rows as four 8-column strips: one
+    /// 8-lane vector per row and strip, `R` independent accumulator chains
+    /// (8 for a full tile), `a` broadcast per step.
+    ///
+    /// # Safety
+    ///
+    /// `R <= MR`, `a.len() >= kc*MR` and (for `kc > 0`)
+    /// `b.len() >= (kc-1)*ldb + NR`; the host must support AVX2.
+    // SAFETY: the contract above is asserted by `run_microkernel`, the
+    // only caller; all pointer reads below stay inside those bounds.
+    #[target_feature(enable = "avx2")]
+    unsafe fn microkernel_avx2<const R: usize>(
+        kc: usize,
+        a: &[f32],
+        b: &[f32],
+        ldb: usize,
+    ) -> Tile {
+        let ap = a.as_ptr();
+        let mut tile = [[0.0f32; NR]; MR];
+        for j in (0..NR).step_by(STRIP) {
+            let bp = b.as_ptr().add(j);
+            let mut acc = [_mm256_setzero_ps(); R];
+            for p in 0..kc {
+                let bv = _mm256_loadu_ps(bp.add(p * ldb));
+                let ar = ap.add(p * MR);
+                for (r, acc_r) in acc.iter_mut().enumerate() {
+                    *acc_r = _mm256_add_ps(*acc_r, _mm256_mul_ps(_mm256_set1_ps(*ar.add(r)), bv));
+                }
+            }
+            for (row, v) in tile.iter_mut().zip(acc) {
+                _mm256_storeu_ps(row.as_mut_ptr().add(j), v);
+            }
+        }
+        tile
+    }
+
+    /// SSE2 8×32 tile as eight 4×8 sub-tiles: two 4-lane vectors per row.
     ///
     /// # Safety
     ///
@@ -722,30 +918,30 @@ mod x86 {
     // SAFETY: the contract above is asserted by `run_microkernel`, the
     // only caller; SSE2 is part of the x86-64 baseline.
     #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn microkernel_sse(
-        kc: usize,
-        a: &[f32],
-        b: &[f32],
-        ldb: usize,
-    ) -> [[f32; NR]; MR] {
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        let mut lo = [_mm_setzero_ps(); MR];
-        let mut hi = [_mm_setzero_ps(); MR];
-        for p in 0..kc {
-            let blo = _mm_loadu_ps(bp.add(p * ldb));
-            let bhi = _mm_loadu_ps(bp.add(p * ldb + 4));
-            let ar = ap.add(p * MR);
-            for r in 0..MR {
-                let av = _mm_set1_ps(*ar.add(r));
-                lo[r] = _mm_add_ps(lo[r], _mm_mul_ps(av, blo));
-                hi[r] = _mm_add_ps(hi[r], _mm_mul_ps(av, bhi));
-            }
-        }
+    pub(super) unsafe fn microkernel_sse(kc: usize, a: &[f32], b: &[f32], ldb: usize) -> Tile {
+        const ROWS: usize = 4;
         let mut tile = [[0.0f32; NR]; MR];
-        for r in 0..MR {
-            _mm_storeu_ps(tile[r].as_mut_ptr(), lo[r]);
-            _mm_storeu_ps(tile[r].as_mut_ptr().add(4), hi[r]);
+        for r0 in (0..MR).step_by(ROWS) {
+            let ap = a.as_ptr().add(r0);
+            for j in (0..NR).step_by(8) {
+                let bp = b.as_ptr().add(j);
+                let mut lo = [_mm_setzero_ps(); ROWS];
+                let mut hi = [_mm_setzero_ps(); ROWS];
+                for p in 0..kc {
+                    let blo = _mm_loadu_ps(bp.add(p * ldb));
+                    let bhi = _mm_loadu_ps(bp.add(p * ldb + 4));
+                    let ar = ap.add(p * MR);
+                    for r in 0..ROWS {
+                        let av = _mm_set1_ps(*ar.add(r));
+                        lo[r] = _mm_add_ps(lo[r], _mm_mul_ps(av, blo));
+                        hi[r] = _mm_add_ps(hi[r], _mm_mul_ps(av, bhi));
+                    }
+                }
+                for r in 0..ROWS {
+                    _mm_storeu_ps(tile[r0 + r].as_mut_ptr().add(j), lo[r]);
+                    _mm_storeu_ps(tile[r0 + r].as_mut_ptr().add(j + 4), hi[r]);
+                }
+            }
         }
         tile
     }
@@ -756,11 +952,12 @@ mod neon {
     //! aarch64 NEON microkernel. Separate `vmulq`/`vaddq` (never fused)
     //! keep results bitwise-identical to the scalar kernel.
 
-    use super::{MR, NR};
+    use super::{Tile, MR, NR, STRIP};
     #[allow(clippy::wildcard_imports)]
     use std::arch::aarch64::*;
 
-    /// NEON 4×8 tile: two 4-lane vectors per row.
+    /// NEON 8×32 tile as four 8×8 strips: two 4-lane vectors per row and
+    /// strip, sixteen accumulators.
     ///
     /// # Safety
     ///
@@ -768,30 +965,27 @@ mod neon {
     // SAFETY: the contract above is asserted by `run_microkernel`, the
     // only caller; NEON is part of the aarch64 baseline.
     #[target_feature(enable = "neon")]
-    pub(super) unsafe fn microkernel_neon(
-        kc: usize,
-        a: &[f32],
-        b: &[f32],
-        ldb: usize,
-    ) -> [[f32; NR]; MR] {
+    pub(super) unsafe fn microkernel_neon(kc: usize, a: &[f32], b: &[f32], ldb: usize) -> Tile {
         let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        let mut lo = [vdupq_n_f32(0.0); MR];
-        let mut hi = [vdupq_n_f32(0.0); MR];
-        for p in 0..kc {
-            let blo = vld1q_f32(bp.add(p * ldb));
-            let bhi = vld1q_f32(bp.add(p * ldb + 4));
-            let ar = ap.add(p * MR);
-            for r in 0..MR {
-                let av = vdupq_n_f32(*ar.add(r));
-                lo[r] = vaddq_f32(lo[r], vmulq_f32(av, blo));
-                hi[r] = vaddq_f32(hi[r], vmulq_f32(av, bhi));
-            }
-        }
         let mut tile = [[0.0f32; NR]; MR];
-        for r in 0..MR {
-            vst1q_f32(tile[r].as_mut_ptr(), lo[r]);
-            vst1q_f32(tile[r].as_mut_ptr().add(4), hi[r]);
+        for j in (0..NR).step_by(STRIP) {
+            let bp = b.as_ptr().add(j);
+            let mut lo = [vdupq_n_f32(0.0); MR];
+            let mut hi = [vdupq_n_f32(0.0); MR];
+            for p in 0..kc {
+                let blo = vld1q_f32(bp.add(p * ldb));
+                let bhi = vld1q_f32(bp.add(p * ldb + 4));
+                let ar = ap.add(p * MR);
+                for r in 0..MR {
+                    let av = vdupq_n_f32(*ar.add(r));
+                    lo[r] = vaddq_f32(lo[r], vmulq_f32(av, blo));
+                    hi[r] = vaddq_f32(hi[r], vmulq_f32(av, bhi));
+                }
+            }
+            for r in 0..MR {
+                vst1q_f32(tile[r].as_mut_ptr().add(j), lo[r]);
+                vst1q_f32(tile[r].as_mut_ptr().add(j + 4), hi[r]);
+            }
         }
         tile
     }

@@ -4,10 +4,14 @@ use crate::layer::Layer;
 use crate::tensor::Tensor;
 
 /// Rectified linear unit: `y = max(0, x)`.
+///
+/// Negative inputs become `+0.0`; `NaN` and `-0.0` pass through unchanged.
+/// The gradient flows only where `x > 0`.
 #[derive(Clone, Debug, Default)]
 pub struct Relu {
+    /// `x > 0` per element of the last training forward, in the previous
+    /// step's buffer.
     cached_mask: Vec<bool>,
-    cached_shape: Vec<usize>,
 }
 
 impl Relu {
@@ -23,14 +27,21 @@ impl Layer for Relu {
     }
 
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let mut y = x.clone();
+        let relu = |v: f32| if v < 0.0 { 0.0 } else { v };
+        let xs = x.as_slice();
+        let mut y = Tensor::zeros(x.shape());
         if train {
-            self.cached_mask = x.as_slice().iter().map(|&v| v > 0.0).collect();
-            self.cached_shape = x.shape().to_vec();
-        }
-        for v in y.as_mut_slice() {
-            if *v < 0.0 {
-                *v = 0.0;
+            let mut mask = std::mem::take(&mut self.cached_mask);
+            mask.clear();
+            mask.resize(xs.len(), false);
+            for ((out, keep), &v) in y.as_mut_slice().iter_mut().zip(&mut mask).zip(xs) {
+                *out = relu(v);
+                *keep = v > 0.0;
+            }
+            self.cached_mask = mask;
+        } else {
+            for (out, &v) in y.as_mut_slice().iter_mut().zip(xs) {
+                *out = relu(v);
             }
         }
         y
@@ -41,18 +52,25 @@ impl Layer for Relu {
             !self.cached_mask.is_empty(),
             "backward before forward(train=true)"
         );
-        let mut g = grad_out.clone();
-        for (v, &keep) in g.as_mut_slice().iter_mut().zip(&self.cached_mask) {
-            if !keep {
-                *v = 0.0;
-            }
+        assert_eq!(
+            grad_out.len(),
+            self.cached_mask.len(),
+            "gradient does not match the forward's shape"
+        );
+        let mut g = Tensor::zeros(grad_out.shape());
+        for ((out, &v), &keep) in g
+            .as_mut_slice()
+            .iter_mut()
+            .zip(grad_out.as_slice())
+            .zip(&self.cached_mask)
+        {
+            *out = if keep { v } else { 0.0 };
         }
         g
     }
 
     fn release_training_state(&mut self) {
         self.cached_mask = Vec::new();
-        self.cached_shape = Vec::new();
     }
 
     fn output_shape(&self, input: &[usize]) -> Vec<usize> {
@@ -146,6 +164,53 @@ mod tests {
         assert_eq!(y.as_slice(), &[0., 0., 2., 0.]);
         let g = r.backward(&Tensor::from_vec(&[4], vec![1., 1., 1., 1.]));
         assert_eq!(g.as_slice(), &[0., 0., 1., 0.]);
+    }
+
+    /// The two-pass ReLU this layer replaced: clone then clamp, and a mask
+    /// collected separately; backward clones then zeroes.
+    fn relu_oracle(x: &[f32], g: &[f32]) -> (Vec<f32>, Vec<f32>) {
+        let mask: Vec<bool> = x.iter().map(|&v| v > 0.0).collect();
+        let mut y = x.to_vec();
+        for v in &mut y {
+            if *v < 0.0 {
+                *v = 0.0;
+            }
+        }
+        let mut gi = g.to_vec();
+        for (v, &keep) in gi.iter_mut().zip(&mask) {
+            if !keep {
+                *v = 0.0;
+            }
+        }
+        (y, gi)
+    }
+
+    #[test]
+    fn relu_is_bit_identical_to_the_two_pass_loops() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let x = vec![
+            -1.0,
+            -0.0,
+            0.0,
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            2.5,
+        ];
+        let g = vec![1.0, -2.0, 3.0, -0.0, 5.0, -6.0, 7.0, f32::NAN, 9.0, -0.0];
+        let (want_y, want_g) = relu_oracle(&x, &g);
+        let mut r = Relu::new();
+        // Twice, so the second step reuses the first step's mask buffer.
+        for _ in 0..2 {
+            let xt = Tensor::from_vec(&[x.len()], x.clone());
+            assert_eq!(bits(r.forward(&xt, false).as_slice()), bits(&want_y));
+            assert_eq!(bits(r.forward(&xt, true).as_slice()), bits(&want_y));
+            let gt = Tensor::from_vec(&[g.len()], g.clone());
+            assert_eq!(bits(r.backward(&gt).as_slice()), bits(&want_g));
+        }
     }
 
     #[test]

@@ -1276,7 +1276,7 @@ mod tests {
         (0..len)
             .map(|i| {
                 let v = (i * 7919 + salt * 104_729) % 1009;
-                if v % 13 == 0 {
+                if v.is_multiple_of(13) {
                     0.0
                 } else {
                     (v as f32 - 504.0) / 97.0

@@ -10,7 +10,9 @@ use crate::tensor::Tensor;
 #[derive(Clone, Debug, Default)]
 pub struct MaxPool2 {
     cached_input_shape: Vec<usize>,
-    cached_argmax: Vec<usize>,
+    /// Input index of each output's maximum (first of a tie, the window's
+    /// top-left when it holds a `NaN` there).
+    cached_argmax: Vec<u32>,
 }
 
 impl MaxPool2 {
@@ -30,8 +32,11 @@ impl Layer for MaxPool2 {
         let (oh, ow) = (h / 2, w / 2);
         assert!(oh > 0 && ow > 0, "maxpool input too small");
         let xs = x.as_slice();
+        assert!(
+            u32::try_from(xs.len()).is_ok(),
+            "maxpool input exceeds u32 indexing"
+        );
         let mut out = Tensor::zeros(&[n, c, oh, ow]);
-        let os = out.as_mut_slice();
         // Only a training forward records where each maximum came from
         // (backward routes through it), in the previous step's buffer.
         let mut argmax = Vec::new();
@@ -40,24 +45,33 @@ impl Layer for MaxPool2 {
             argmax.clear();
             argmax.reserve(n * c * oh * ow);
         }
-        for img in 0..n {
-            for ch in 0..c {
-                let base = (img * c + ch) * h * w;
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut best_idx = base + (2 * oy) * w + 2 * ox;
-                        let mut best = xs[best_idx];
-                        for (dy, dx) in [(0usize, 1usize), (1, 0), (1, 1)] {
-                            let idx = base + (2 * oy + dy) * w + 2 * ox + dx;
-                            if xs[idx] > best {
-                                best = xs[idx];
-                                best_idx = idx;
-                            }
+        let planes = xs
+            .chunks_exact(h * w)
+            .zip(out.as_mut_slice().chunks_exact_mut(oh * ow));
+        for (plane_idx, (plane, out_plane)) in planes.enumerate() {
+            let base = plane_idx * h * w;
+            for (oy, out_row) in out_plane.chunks_exact_mut(ow).enumerate() {
+                let top = &plane[2 * oy * w..][..2 * ow];
+                let bottom = &plane[(2 * oy + 1) * w..][..2 * ow];
+                for (ox, o) in out_row.iter_mut().enumerate() {
+                    // Window order: top-left, top-right, bottom-left,
+                    // bottom-right; only a strictly larger value wins.
+                    let mut best = top[2 * ox];
+                    let mut best_off = 0;
+                    for (v, off) in [
+                        (top[2 * ox + 1], 1),
+                        (bottom[2 * ox], w),
+                        (bottom[2 * ox + 1], w + 1),
+                    ] {
+                        if v > best {
+                            best = v;
+                            best_off = off;
                         }
-                        os[((img * c + ch) * oh + oy) * ow + ox] = best;
-                        if train {
-                            argmax.push(best_idx);
-                        }
+                    }
+                    *o = best;
+                    if train {
+                        // In range: the length check above bounds every index.
+                        argmax.push((base + 2 * oy * w + 2 * ox + best_off) as u32);
                     }
                 }
             }
@@ -76,8 +90,8 @@ impl Layer for MaxPool2 {
         );
         let mut grad_in = Tensor::zeros(&self.cached_input_shape);
         let gi = grad_in.as_mut_slice();
-        for (o, &src) in self.cached_argmax.iter().enumerate() {
-            gi[src] += grad_out.as_slice()[o];
+        for (&src, &g) in self.cached_argmax.iter().zip(grad_out.as_slice()) {
+            gi[src as usize] += g;
         }
         grad_in
     }
@@ -124,6 +138,98 @@ mod tests {
         let y = pool.forward(&x, false);
         assert_eq!(y.shape(), &[1, 1, 2, 2]);
         assert_eq!(y.as_slice(), &[4., 8., 12., 16.]);
+    }
+
+    /// The per-element loops this layer replaced, with `usize` argmax.
+    fn maxpool_oracle(x: &Tensor, g: &[f32]) -> (Vec<f32>, Vec<usize>, Vec<f32>) {
+        let [n, c, h, w]: [usize; 4] = x.shape().try_into().unwrap();
+        let (oh, ow) = (h / 2, w / 2);
+        let xs = x.as_slice();
+        let mut os = vec![0.0f32; n * c * oh * ow];
+        let mut argmax = Vec::new();
+        for img in 0..n {
+            for ch in 0..c {
+                let base = (img * c + ch) * h * w;
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let mut best_idx = base + (2 * oy) * w + 2 * ox;
+                        let mut best = xs[best_idx];
+                        for (dy, dx) in [(0usize, 1usize), (1, 0), (1, 1)] {
+                            let idx = base + (2 * oy + dy) * w + 2 * ox + dx;
+                            if xs[idx] > best {
+                                best = xs[idx];
+                                best_idx = idx;
+                            }
+                        }
+                        os[((img * c + ch) * oh + oy) * ow + ox] = best;
+                        argmax.push(best_idx);
+                    }
+                }
+            }
+        }
+        let mut gi = vec![0.0f32; xs.len()];
+        for (o, &src) in argmax.iter().enumerate() {
+            gi[src] += g[o];
+        }
+        (os, argmax, gi)
+    }
+
+    #[test]
+    fn pooling_is_bit_identical_to_the_per_element_loops() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // Odd sides (dropped edge), NaN first and later in a window, signed
+        // zeros tying, exact ties and all-equal windows.
+        let specials = [
+            f32::NAN,
+            -0.0,
+            0.0,
+            1.0,
+            1.0,
+            -f32::NAN,
+            -2.0,
+            f32::NEG_INFINITY,
+            3.0,
+            -0.0,
+        ];
+        let (n, c, h, w) = (2, 3, 7, 9);
+        let xs: Vec<f32> = (0..n * c * h * w)
+            .map(|i| {
+                if i % 3 == 0 {
+                    specials[(i / 3) % specials.len()]
+                } else {
+                    ((i * 7) % 5) as f32 - 2.0
+                }
+            })
+            .collect();
+        // Hand-made windows (columns pairwise): NaN top-left, NaN later,
+        // signed zeros only, a three-way tie, a bottom-right winner.
+        let nan = f32::NAN;
+        #[rustfmt::skip]
+        let windows = vec![
+            nan, 1.0, 1.0, nan, -0.0, 0.0, 2.0, 2.0, 0.5, 0.25,
+            2.0, 3.0, 0.0, 2.0, 0.0, -0.0, 2.0, 1.0, 0.75, 4.0,
+        ];
+        let mut pool = MaxPool2::new();
+        for x in [
+            Tensor::from_vec(&[n, c, h, w], xs),
+            Tensor::from_vec(&[1, 1, 2, 10], windows),
+        ] {
+            let [n, c, h, w]: [usize; 4] = x.shape().try_into().unwrap();
+            let outs = n * c * (h / 2) * (w / 2);
+            let g: Vec<f32> = (0..outs)
+                .map(|i| if i % 4 == 1 { -0.0 } else { i as f32 - 9.5 })
+                .collect();
+            let (want_y, want_argmax, want_g) = maxpool_oracle(&x, &g);
+            // Twice, so the second step reuses the first step's buffer.
+            for _ in 0..2 {
+                assert_eq!(bits(pool.forward(&x, false).as_slice()), bits(&want_y));
+                assert_eq!(bits(pool.forward(&x, true).as_slice()), bits(&want_y));
+                let argmax: Vec<usize> = pool.cached_argmax.iter().map(|&i| i as usize).collect();
+                assert_eq!(argmax, want_argmax);
+                let gt = Tensor::from_vec(&[n, c, h / 2, w / 2], g.clone());
+                assert_eq!(bits(pool.backward(&gt).as_slice()), bits(&want_g));
+            }
+        }
     }
 
     #[test]

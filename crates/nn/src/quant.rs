@@ -77,9 +77,9 @@ fn max_abs(xs: &[f32]) -> f32 {
 /// `C = A·B` over int8 with exact `i32` accumulation: `A: [m, k]`,
 /// `B: [k, n]`, `C: [m, n]`, all row-major. `C` is overwritten.
 ///
-/// Dispatches on the context's kernel ([`crate::exec::current`]): the
-/// AVX2 kernel pairs `k` steps through `_mm256_madd_epi16`; every other
-/// kernel selection runs the scalar loop. All paths produce identical
+/// Dispatches on the context's kernel ([`crate::exec::current`]): under
+/// `Avx2` and `Avx512` the AVX2 kernel pairs `k` steps through
+/// `_mm256_madd_epi16`; every other kernel selection runs the scalar loop. All paths produce identical
 /// results (integer arithmetic is exact), so kernel choice is a pure
 /// performance knob here too.
 ///
@@ -100,17 +100,35 @@ pub fn gemm_i8(m: usize, k: usize, n: usize, a: &[i8], b: &[i8], c: &mut [i32]) 
         c.fill(0);
         return;
     }
-    match crate::exec::current().kernel {
+    match Int8Kernel::of(crate::exec::current().kernel) {
         #[cfg(target_arch = "x86_64")]
-        Kernel::Avx2 => {
-            // SAFETY: slice/dimension agreement asserted above; Avx2 is
-            // only selectable when runtime-detected, and the kernel
-            // overwrites every element of `c` (no pre-zeroing needed).
+        Int8Kernel::Avx2 => {
+            // SAFETY: dimensions asserted above; `Int8Kernel::Avx2` implies
+            // runtime-detected AVX2, and the kernel overwrites all of `c`.
             unsafe { x86::gemm_i8_avx2(m, k, n, a, b, c) }
         }
         _ => {
             c.fill(0);
             gemm_i8_scalar(m, k, n, a, b, c);
+        }
+    }
+}
+
+/// The int8 kernel that runs under an f32 [`Kernel`] selection. The int8
+/// code has one SIMD tier, AVX2; the AVX-512 selection runs it too, since
+/// [`crate::gemm::available_kernels`] offers `Avx512` only where AVX2 was
+/// detected as well.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Int8Kernel {
+    Scalar,
+    Avx2,
+}
+
+impl Int8Kernel {
+    fn of(kernel: Kernel) -> Int8Kernel {
+        match kernel {
+            Kernel::Avx2 | Kernel::Avx512 if cfg!(target_arch = "x86_64") => Int8Kernel::Avx2,
+            _ => Int8Kernel::Scalar,
         }
     }
 }
@@ -148,11 +166,11 @@ fn gemm_i8_scalar(m: usize, k: usize, n: usize, a: &[i8], b: &[i8], c: &mut [i32
 pub fn requant_i8(acc: &[i32], m: f32, bias: f32, lo: i8, hi: i8, out: &mut [i8]) {
     assert_eq!(acc.len(), out.len(), "requant buffers must match");
     assert!(lo <= hi, "empty clamp range");
-    match crate::exec::current().kernel {
+    match Int8Kernel::of(crate::exec::current().kernel) {
         #[cfg(target_arch = "x86_64")]
-        Kernel::Avx2 => {
-            // SAFETY: lengths asserted equal above; `Kernel::Avx2` is only
-            // selectable on hosts where AVX2 was runtime-detected.
+        Int8Kernel::Avx2 => {
+            // SAFETY: lengths asserted equal above; `Int8Kernel::Avx2` is
+            // only selected on hosts where AVX2 was runtime-detected.
             unsafe { x86::requant_i8_avx2(acc, m, bias, lo, hi, out) }
         }
         _ => requant_i8_scalar(acc, m, bias, lo, hi, out),
@@ -671,7 +689,7 @@ mod tests {
 
     #[test]
     fn gemm_i8_matches_naive_across_kernels() {
-        // Shapes hit the 4×8 tile, row/column remainders, odd k (madd
+        // Shapes hit the int8 kernel's 4×8 tile, row/column remainders, odd k (madd
         // tail), n < 8 (pure scalar tail), and k = 0.
         for &(m, k, n) in &[
             (1, 1, 1),
@@ -694,6 +712,34 @@ mod tests {
                 });
                 assert_eq!(got, want, "kernel {} ({m},{k},{n})", kernel.name());
             }
+        }
+    }
+
+    #[test]
+    fn every_simd_tier_keeps_its_int8_kernel() {
+        // The f32 tiers above AVX2 must not fall back to the scalar int8
+        // loops, and every selection must agree bit for bit with them.
+        let (m, k, n) = (9, 37, 21);
+        let a = arb_i8(m * k, 7);
+        let b = arb_i8(k * n, 8);
+        let base = current();
+        let on = |kernel| {
+            scoped(Exec { kernel, ..base }, || {
+                let mut c = vec![-1i32; m * n];
+                gemm_i8(m, k, n, &a, &b, &mut c);
+                let mut q = vec![99i8; m * n];
+                requant_i8(&c, 0.001, 0.5, 0, 127, &mut q);
+                (c, q)
+            })
+        };
+        let scalar = on(Kernel::Scalar);
+        for kernel in available_kernels() {
+            let want = match kernel {
+                Kernel::Avx2 | Kernel::Avx512 => Int8Kernel::Avx2,
+                Kernel::Scalar | Kernel::Sse | Kernel::Neon => Int8Kernel::Scalar,
+            };
+            assert_eq!(Int8Kernel::of(kernel), want, "kernel {}", kernel.name());
+            assert_eq!(on(kernel), scalar, "kernel {}", kernel.name());
         }
     }
 

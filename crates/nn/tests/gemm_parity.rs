@@ -5,10 +5,11 @@
 //! reference kernels.
 
 use mvml_nn::exec::{current, scoped, Exec};
-use mvml_nn::gemm::{available_kernels, gemm, gemm_nt, gemm_tn, Kernel};
+use mvml_nn::gemm::{available_kernels, gemm, gemm_nt, gemm_nt_acc, gemm_tn, gemm_tn_acc, Kernel};
 use mvml_nn::layer::Layer;
 use mvml_nn::layers::{Conv2d, Dense, KernelPath};
 use mvml_nn::quant::{dequantize, gemm_i8, quantize, requant_i8, symmetric_scale};
+use mvml_nn::tune::Tuning;
 use mvml_nn::Tensor;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -33,6 +34,59 @@ fn on_kernel<R>(kernel: Kernel, f: impl FnOnce() -> R) -> R {
     scoped(Exec { kernel, ..base }, f)
 }
 
+/// Register-tile rows and columns of `mvml_nn::gemm` (8×32): the shape
+/// ranges below reach several full tiles and every ragged remainder.
+const MR: usize = 8;
+const NR: usize = 32;
+
+/// The five GEMM entry points, by the layout they read `A` and `B` in.
+#[derive(Clone, Copy, Debug)]
+enum Orientation {
+    Nn,
+    Tn,
+    TnAcc,
+    Nt,
+    NtAcc,
+}
+
+impl Orientation {
+    const ALL: [Orientation; 5] = [
+        Orientation::Nn,
+        Orientation::Tn,
+        Orientation::TnAcc,
+        Orientation::Nt,
+        Orientation::NtAcc,
+    ];
+
+    /// Runs this entry point on `a`/`b` given as plain `[m, k]`/`[k, n]`,
+    /// storing whichever operand it reads transposed as its transpose.
+    /// The accumulating variants start from `c0`.
+    fn run(self, m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c0: &[f32]) -> Vec<f32> {
+        let transpose = |x: &[f32], rows: usize, cols: usize| {
+            let mut t = vec![0.0f32; x.len()];
+            for i in 0..rows {
+                for j in 0..cols {
+                    t[j * rows + i] = x[i * cols + j];
+                }
+            }
+            t
+        };
+        let mut c = c0.to_vec();
+        match self {
+            Orientation::Nn => gemm(m, k, n, a, b, &mut c),
+            Orientation::Tn => gemm_tn(m, k, n, &transpose(a, m, k), b, &mut c),
+            Orientation::TnAcc => gemm_tn_acc(m, k, n, &transpose(a, m, k), b, &mut c),
+            Orientation::Nt => gemm_nt(m, k, n, a, &transpose(b, k, n), &mut c),
+            Orientation::NtAcc => gemm_nt_acc(m, k, n, a, &transpose(b, k, n), &mut c),
+        }
+        c
+    }
+
+    fn accumulates(self) -> bool {
+        matches!(self, Orientation::TnAcc | Orientation::NtAcc)
+    }
+}
+
 fn naive_gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32]) -> Vec<f32> {
     let mut c = vec![0.0f32; m * n];
     for i in 0..m {
@@ -54,7 +108,9 @@ proptest! {
     /// including k spanning multiple KC blocks.
     #[test]
     #[cfg_attr(miri, ignore)]
-    fn gemm_matches_naive(m in 1usize..24, k in 1usize..320, n in 1usize..24, salt in 0u64..1_000) {
+    fn gemm_matches_naive(
+        m in 1usize..5 * MR, k in 1usize..320, n in 1usize..3 * NR + 4, salt in 0u64..1_000,
+    ) {
         let a = fill(m * k, salt);
         let b = fill(k * n, salt ^ 0xABCD);
         let mut c = vec![0.0f32; m * n];
@@ -70,13 +126,13 @@ proptest! {
 
     /// Every SIMD microkernel this host offers produces *bitwise* the same
     /// f32 output as the scalar kernel — the determinism contract behind
-    /// byte-compared artifacts. Adversarial shapes: ragged register tiles
-    /// (m % MR, n % NR ≠ 0), k spanning multiple KC blocks, degenerate
-    /// single-row/column cases.
+    /// byte-compared artifacts. Adversarial shapes: full and ragged
+    /// register tiles (m % MR, n % NR), k spanning multiple KC blocks,
+    /// degenerate single-row/column cases.
     #[test]
     #[cfg_attr(miri, ignore)]
     fn simd_kernels_match_scalar_bitwise(
-        m in 1usize..24, k in 1usize..320, n in 1usize..24, salt in 0u64..1_000,
+        m in 1usize..5 * MR, k in 1usize..320, n in 1usize..3 * NR + 4, salt in 0u64..1_000,
     ) {
         let a = fill(m * k, salt);
         let b = fill(k * n, salt ^ 0x9C9C);
@@ -89,6 +145,64 @@ proptest! {
                 prop_assert!(
                     got.to_bits() == want.to_bits(),
                     "{} kernel {m}x{k}x{n} at {i}: {got} vs scalar {want}",
+                    kern.name()
+                );
+            }
+        }
+    }
+
+    /// All five entry points, on the packed and the stream path and at one
+    /// and three workers, give every kernel's output bitwise equal to the
+    /// scalar kernel's, and stay within rounding of the naive product (on
+    /// top of `C`'s old values for the accumulating variants). Shapes reach
+    /// several full 8×32 tiles and every ragged row and column remainder.
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn every_orientation_and_path_matches_scalar_bitwise(
+        m in 1usize..5 * MR,
+        k in 1usize..300,
+        n in 1usize..3 * NR + 4,
+        orientation in 0usize..5,
+        stream in 0usize..2,
+        threads in 1usize..4,
+        salt in 0u64..1_000,
+    ) {
+        let orientation = Orientation::ALL[orientation];
+        let stream = stream == 1;
+        let a = fill(m * k, salt);
+        let b = fill(k * n, salt ^ 0x4B4B);
+        let c0 = if orientation.accumulates() {
+            fill(m * n, salt ^ 0x2D2D)
+        } else {
+            vec![f32::NAN; m * n] // poisoned: every slot must be overwritten
+        };
+        // The stream path serves row-major B up to `stream_max_rows` rows;
+        // 0 sends every shape down the packed path.
+        let tuning = Tuning {
+            stream_max_rows: if stream { 5 * MR } else { 0 },
+            parallel_macs: 0,
+            ..Tuning::default()
+        };
+        let on = |kernel| {
+            let exec = Exec { kernel, threads, tuning };
+            scoped(exec, || orientation.run(m, k, n, &a, &b, &c0))
+        };
+        let reference = on(Kernel::Scalar);
+        let naive = naive_gemm(m, k, n, &a, &b);
+        for (i, (got, want)) in reference.iter().zip(&naive).enumerate() {
+            let want = if orientation.accumulates() { want + c0[i] } else { *want };
+            prop_assert!(
+                (got - want).abs() <= 1e-5 * (1.0 + want.abs()),
+                "{orientation:?} {m}x{k}x{n} at {i}: {got} vs naive {want}"
+            );
+        }
+        for kern in available_kernels() {
+            let c = on(kern);
+            for (i, (got, want)) in c.iter().zip(&reference).enumerate() {
+                prop_assert!(
+                    got.to_bits() == want.to_bits(),
+                    "{} kernel {orientation:?} {m}x{k}x{n} stream={stream} threads={threads} \
+                     at {i}: {got} vs scalar {want}",
                     kern.name()
                 );
             }
@@ -187,7 +301,7 @@ proptest! {
     #[test]
     #[cfg_attr(miri, ignore)]
     fn transposed_kernels_match_materialised_transpose(
-        m in 1usize..16, k in 1usize..48, n in 1usize..16, salt in 0u64..1_000,
+        m in 1usize..3 * MR, k in 1usize..48, n in 1usize..2 * NR + 4, salt in 0u64..1_000,
     ) {
         // TN: A stored [k, m].
         let a_t = fill(k * m, salt);

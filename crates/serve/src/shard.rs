@@ -244,7 +244,7 @@ impl TenantState {
             return true;
         }
         match self.cfg.proactive {
-            Some(p) if p.period_rounds > 0 => round > 0 && round % p.period_rounds == 0,
+            Some(p) if p.period_rounds > 0 => round > 0 && round.is_multiple_of(p.period_rounds),
             _ => false,
         }
     }
@@ -295,7 +295,7 @@ impl TenantState {
         //    down at any time.
         let mut proactive_started = None;
         if let Some(p) = self.cfg.proactive {
-            if p.period_rounds > 0 && round > 0 && round % p.period_rounds == 0 {
+            if p.period_rounds > 0 && round > 0 && round.is_multiple_of(p.period_rounds) {
                 self.proactive_armed = true;
             }
             if self.proactive_armed
