@@ -4,7 +4,9 @@
 # external benchmark package's build and tests, the campaign smoke +
 # telemetry cross-validation gate, the serve TCP smoke gate, the serve chaos
 # smoke gate (wire-fault totality + rejuvenation availability vs the DSPN
-# model, byte-stable across reruns and shard counts), and the
+# model, byte-stable across reruns and shard counts), the avsim artifact
+# gate (Tables VI/VII and the av_safety example regenerated and
+# byte-compared with results/), and the
 # perf-regression gate (A/B pairs of `bash benchmark/run.sh` against the
 # base commit, judged by the end-to-end bounds in BENCHMARK.json).
 #
@@ -15,7 +17,7 @@
 # Knobs:
 #   GATES="..."  run only the named gates (space- or comma-separated).
 #                Known names: fmt clippy docs test analyze benchmark campaign
-#                serve chaos perf tsan miri. Example: GATES="fmt,clippy,test".
+#                serve chaos avsim perf tsan miri. Example: GATES="fmt,clippy,test".
 #                Unset/empty = the full default lane (tsan/miri only when
 #                their knobs below ask for them).
 #   PERF_GATE=0  skip the perf-regression gate (it builds the benchmark at
@@ -40,7 +42,7 @@ cd "$(dirname "$0")"
 # Gate harness: run_gate times a gate_<name> function, prints the one-line
 # summary, and the EXIT trap names the gate when anything inside it fails.
 # ---------------------------------------------------------------------------
-KNOWN_GATES="fmt clippy docs test analyze benchmark campaign serve chaos perf tsan miri"
+KNOWN_GATES="fmt clippy docs test analyze benchmark campaign serve chaos avsim perf tsan miri"
 CURRENT_GATE=""
 GATE_T0=0
 # The perf gate's base-commit worktree, removed on exit.
@@ -253,6 +255,28 @@ PY
   rm -f "$a" "$b" "$s1"
 }
 
+gate_avsim() {
+  # Driving-study artifact gate: the seeded avsim runs behind Tables VI and
+  # VII and the av_safety example are deterministic for any thread count,
+  # so each is regenerated (stdout and stderr together, as committed) and
+  # byte-compared with its results/ file. A change that moves a detector
+  # weight, a noise draw or a guard decision fails here by name.
+  echo "== avsim: Tables VI/VII and example_av_safety vs results/ =="
+  cargo build -q --release -p mvml-bench --bin table6_routes --bin table7_interval
+  cargo build -q --release --example av_safety
+  local name stale=0
+  target/release/table6_routes 5 >target/avsim-table6_routes.txt 2>&1
+  target/release/table7_interval 5 >target/avsim-table7_interval.txt 2>&1
+  target/release/examples/av_safety >target/avsim-example_av_safety.txt 2>&1
+  for name in table6_routes table7_interval example_av_safety; do
+    if ! cmp -s "results/$name.txt" "target/avsim-$name.txt"; then
+      echo "results/$name.txt is stale: diff it against target/avsim-$name.txt" >&2
+      stale=1
+    fi
+  done
+  return "$stale"
+}
+
 gate_perf() {
   # Perf-regression gate: A/B pairs of `bash benchmark/run.sh`, the
   # benchmark in BENCHMARK.json, run on this checkout and on its base
@@ -389,7 +413,7 @@ if [[ -n "${GATES:-}" ]]; then
     esac
   done
 else
-  SELECTED="fmt clippy docs test analyze benchmark campaign serve chaos perf"
+  SELECTED="fmt clippy docs test analyze benchmark campaign serve chaos avsim perf"
   [[ "${TSAN:-0}" == "1" ]] && SELECTED+=" tsan"
   [[ "${MIRI:-0}" == "1" ]] && SELECTED+=" miri"
 fi
