@@ -47,8 +47,7 @@ pub mod world;
 pub use detector::{DetectionSet, DetectorTrainConfig};
 pub use perception::{DetectorBank, MultiVersionPerception, PerceptionConfig};
 pub use runner::{
-    aggregate_route, aggregate_route_traced, run_route, run_route_traced, RouteAggregate,
-    RunConfig, RunMetrics,
+    aggregate_route, run_route, run_route_traced, RouteAggregate, RunConfig, RunMetrics,
 };
 pub use town::{all_routes, route, RouteSpec};
 pub use world::World;

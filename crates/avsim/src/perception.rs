@@ -1,22 +1,32 @@
 //! The multi-version perception pipeline: diverse detector modules, the
 //! trusted voter over detection sets, and the health/rejuvenation process.
+//!
+//! The module boundary between the detectors and the voter is `core`'s
+//! [`GuardRuntime`], the same one the classifier system runs: fault
+//! containment, the stale buffer, the sanitizer, watchdog escalation and
+//! the fault log live there. This module keeps only what is particular to
+//! detection: the per-module sensor noise, the fan-out of the forwards,
+//! MAC counting, decoding and the detection voter. Module health stays in
+//! the [`StateProcess`], which escalation reaches through
+//! [`StateProcess::report_failure`].
 
 use crate::bev::{add_sensor_noise, CELLS};
 use crate::detector::{
     decode, train_detector_on, yolo_mini, DetectionSet, DetectorTrainConfig, VARIANTS,
 };
 use mvml_core::rejuvenation::{ProcessConfig, StateEvent, StateProcess, TimedEvent};
-use mvml_core::watchdog::{FaultEvent, FaultEventKind, FaultLog, Watchdog, WatchdogConfig};
-use mvml_core::{ModuleState, Verdict};
-use mvml_faultinject::{corrupt_in_place, random_weight_inj, RuntimeFault, RuntimeFaultPlan};
+#[cfg(test)]
+use mvml_core::watchdog::FaultEventKind;
+use mvml_core::watchdog::{FaultEvent, FaultLog, WatchdogConfig};
+use mvml_core::{GuardConfig, GuardRuntime, ModuleState, Verdict};
+use mvml_faultinject::{random_weight_inj, RuntimeFault, RuntimeFaultPlan};
 use mvml_nn::layer::Layer;
 use mvml_nn::parallel::ThreadPool;
 use mvml_nn::{ModelState, Sequential, Tensor};
-use mvml_obs::{GuardVerdict, Recorder, TelemetryEvent, Timing, VoterOutcome, VotingRule};
+use mvml_obs::{Recorder, TelemetryEvent, VoterOutcome, VotingRule};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Approximate agreement over detection sets: the paper's voter accepts
 /// "two equal/**similar** inputs"; two sets are similar when their
@@ -210,16 +220,9 @@ pub struct MultiVersionPerception {
     cfg: PerceptionConfig,
     rng: StdRng,
     injection_counter: u64,
-    plan: Option<RuntimeFaultPlan>,
-    watchdog: Watchdog,
-    log: FaultLog,
-    /// Per module: the detection set decoded on the last frame that
-    /// produced one — replayed by stale-output faults.
-    last_sets: Vec<Option<DetectionSet>>,
-    frame: u64,
-    /// Telemetry stream. Observe-only: verdicts, states and events are
-    /// byte-identical whether recording is enabled or disabled (default).
-    recorder: Recorder,
+    /// The module boundary: fault plan, stale buffers, watchdog, fault log,
+    /// frame counter and the telemetry recorder.
+    guard: GuardRuntime,
 }
 
 impl std::fmt::Debug for MultiVersionPerception {
@@ -251,10 +254,15 @@ impl MultiVersionPerception {
             "versions must be in 1..={}",
             bank.len()
         );
+        let guard = GuardConfig {
+            deadline: None,
+            sanitize: cfg.sanitize,
+            watchdog: cfg.watchdog,
+        };
         // Misconfiguration is part of this constructor's documented panic
-        // contract; the typed-error path lives on `core`'s Watchdog::new.
+        // contract; the typed-error path is `GuardRuntime::new`.
         #[allow(clippy::expect_used)]
-        let watchdog = Watchdog::new(cfg.versions, cfg.watchdog.unwrap_or_default())
+        let guard = GuardRuntime::new(cfg.versions, guard)
             .expect("watchdog window and threshold must be positive");
         let modules = bank.models()[..cfg.versions]
             .iter()
@@ -270,12 +278,7 @@ impl MultiVersionPerception {
             cfg,
             rng: StdRng::seed_from_u64(seed ^ 0xC0FF_EE00),
             injection_counter: 0,
-            plan: None,
-            watchdog,
-            log: FaultLog::new(cfg.versions, 4096),
-            last_sets: vec![None; cfg.versions],
-            frame: 0,
-            recorder: Recorder::disabled(),
+            guard,
         }
     }
 
@@ -283,7 +286,7 @@ impl MultiVersionPerception {
     /// forward latency), voter decisions, watchdog escalations, pool
     /// fan-outs and rejuvenation events are emitted. Strictly observe-only.
     pub fn set_recorder(&mut self, recorder: Recorder) {
-        self.recorder = recorder;
+        self.guard.set_recorder(recorder);
     }
 
     /// Current module health states.
@@ -293,12 +296,12 @@ impl MultiVersionPerception {
 
     /// Attaches a deterministic runtime fault plan; `None` detaches it.
     pub fn set_fault_plan(&mut self, plan: Option<RuntimeFaultPlan>) {
-        self.plan = plan;
+        self.guard.set_fault_plan(plan);
     }
 
     /// The runtime fault-event log.
     pub fn fault_log(&self) -> &FaultLog {
-        &self.log
+        self.guard.fault_log()
     }
 
     /// Advances module health by `dt`, applying compromise faults and
@@ -309,16 +312,20 @@ impl MultiVersionPerception {
             match e.event {
                 StateEvent::Failed { module } => {
                     // A failed module enters the reactive repair queue.
-                    self.recorder.emit(|| TelemetryEvent::RejuvenationStarted {
-                        module,
-                        proactive: false,
-                    });
+                    self.guard
+                        .recorder()
+                        .emit(|| TelemetryEvent::RejuvenationStarted {
+                            module,
+                            proactive: false,
+                        });
                 }
                 StateEvent::ProactiveStarted { module, .. } => {
-                    self.recorder.emit(|| TelemetryEvent::RejuvenationStarted {
-                        module,
-                        proactive: true,
-                    });
+                    self.guard
+                        .recorder()
+                        .emit(|| TelemetryEvent::RejuvenationStarted {
+                            module,
+                            proactive: true,
+                        });
                 }
                 StateEvent::Compromised { module } => {
                     let (lo, hi) = self.cfg.injection_range;
@@ -336,10 +343,7 @@ impl MultiVersionPerception {
                     // The fresh deployment starts with a clean slate: old
                     // faults must not count toward a new escalation, and a
                     // stale replay must not serve pre-rejuvenation output.
-                    self.watchdog.reset(module);
-                    self.last_sets[module] = None;
-                    self.recorder
-                        .emit(|| TelemetryEvent::RejuvenationCompleted { module });
+                    self.guard.reset_module(module);
                 }
                 _ => {}
             }
@@ -351,23 +355,22 @@ impl MultiVersionPerception {
     /// operational module sees its own noisy sensor view, proposes a
     /// detection set, and the voter fuses the proposals.
     ///
-    /// The pipeline is hardened at the module boundary: forwards run under
-    /// `catch_unwind`, non-finite logits withhold the module's proposal for
-    /// the frame (when [`PerceptionConfig::sanitize`] is on), and injected
-    /// latency/stale faults degrade to a missing or replayed proposal. All
-    /// detections feed the watchdog; escalation forces the module
+    /// Every module output crosses the [`GuardRuntime`] boundary: forwards
+    /// are contained, injected latency/stale faults degrade to a missing or
+    /// replayed proposal, and non-finite logits withhold the module's
+    /// proposal for the frame (when [`PerceptionConfig::sanitize`] is on).
+    /// All detections feed the watchdog; escalation forces the module
     /// non-functional through the health process, so the ordinary reactive
     /// repair picks it up.
     pub fn perceive(&mut self, clean_grid: &Tensor) -> PerceptionFrame {
         let states: Vec<ModuleState> = self.process.states().to_vec();
-        let frame = self.frame;
-        self.frame += 1;
+        let frame = self.guard.begin_frame();
+        let n_samples = clean_grid.shape().first().copied().unwrap_or(0);
         // Draw every operational module's sensor view serially first: the
         // RNG stream advances in module order exactly as it always did, so
         // per-seed replays are byte-identical for any `MVML_THREADS` value.
         let mut macs = 0u64;
-        let mut events: Vec<FaultEvent> = Vec::new();
-        let mut proposals: Vec<Option<DetectionSet>> = vec![None; self.modules.len()];
+        let mut faults: Vec<Option<RuntimeFault>> = vec![None; self.modules.len()];
         let mut jobs: Vec<(usize, &mut Sequential, Tensor, Option<RuntimeFault>)> = Vec::new();
         for (i, (module, state)) in self.modules.iter_mut().zip(&states).enumerate() {
             if !state.is_operational() {
@@ -379,106 +382,48 @@ impl MultiVersionPerception {
                 self.cfg.clutter,
                 &mut self.rng,
             );
-            let fault = self.plan.as_ref().and_then(|p| p.fault_for(i, frame));
-            if matches!(fault, Some(RuntimeFault::Stale)) {
-                // A wedged stage serves its output buffer again instead of
-                // computing; nothing to run, nothing to detect.
-                proposals[i] = self.last_sets[i].clone();
-                let replayed = proposals[i].is_some();
-                self.recorder.emit(|| TelemetryEvent::ModuleInference {
-                    module: i,
-                    frame,
-                    verdict: if replayed {
-                        GuardVerdict::StaleReplay
-                    } else {
-                        GuardVerdict::NoOutput
-                    },
-                });
-                continue;
+            faults[i] = self.guard.planned_fault(i, frame);
+            // A wedged stage serves its output buffer again instead of
+            // computing.
+            if faults[i] != Some(RuntimeFault::Stale) {
+                macs += module.model.macs(noisy.shape());
+                jobs.push((i, &mut module.model, noisy, faults[i]));
             }
-            macs += module.model.macs(noisy.shape());
-            jobs.push((i, &mut module.model, noisy, fault));
         }
         // The model forwards touch no shared state, so they fan out across
-        // versions — the paper's "independent ML modules" run concurrently.
-        // Each forward is contained: a panicking module loses its proposal,
-        // not the pipeline. Per-module latency is measured inside the
-        // worker but emitted afterwards in module order, so record order
-        // (and sequence numbers) never depend on scheduling.
-        let threshold = self.cfg.threshold;
-        let timed = self.recorder.enabled();
-        let outputs = ThreadPool::new().map_recorded(
-            &self.recorder,
-            "perception-fanout",
-            jobs,
-            |(i, model, noisy, fault)| {
-                // mvml-allow(determinism): telemetry-only latency stamp, gated on the recorder; never read by the decision path
-                let started = timed.then(std::time::Instant::now);
-                let logits = catch_unwind(AssertUnwindSafe(|| {
-                    if matches!(fault, Some(RuntimeFault::Crash)) {
-                        panic!("injected crash fault");
-                    }
-                    let mut logits = model.forward(&noisy, false);
-                    if let Some(RuntimeFault::Corrupt(mode)) = fault {
-                        corrupt_in_place(logits.as_mut_slice(), mode);
-                    }
-                    logits
-                }))
-                .ok();
-                let timing = started.map(|s| Timing {
-                    duration_ns: u64::try_from(s.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                });
-                (i, fault, logits, timing)
-            },
-        );
-        for (i, fault, logits, timing) in outputs {
-            let obs_verdict;
-            match logits {
-                None => {
-                    events.push(FaultEvent {
-                        module: i,
-                        frame,
-                        kind: FaultEventKind::Panic,
-                    });
-                    obs_verdict = GuardVerdict::Panicked;
-                }
-                Some(logits) => {
-                    let set = decode(&logits, threshold);
-                    if matches!(fault, Some(RuntimeFault::Latency)) {
-                        // The answer exists but arrived after the frame
-                        // deadline: discard it for voting, keep it as the
-                        // stale buffer.
-                        events.push(FaultEvent {
-                            module: i,
-                            frame,
-                            kind: FaultEventKind::DeadlineMiss,
-                        });
-                        self.last_sets[i] = Some(set);
-                        obs_verdict = GuardVerdict::DeadlineMissed;
-                    } else if self.cfg.sanitize && logits.as_slice().iter().any(|v| !v.is_finite())
-                    {
-                        events.push(FaultEvent {
-                            module: i,
-                            frame,
-                            kind: FaultEventKind::NonFiniteOutput { samples: 1 },
-                        });
-                        obs_verdict = GuardVerdict::NonFinite { samples: 1 };
-                    } else {
-                        self.last_sets[i] = Some(set.clone());
-                        proposals[i] = Some(set);
-                        obs_verdict = GuardVerdict::Accepted;
-                    }
-                }
+        // versions — the paper's "independent ML modules" run concurrently,
+        // each inside the guard's containment.
+        let mut forwards = ThreadPool::new()
+            .map_recorded(
+                self.guard.recorder(),
+                "perception-fanout",
+                jobs,
+                |(i, model, noisy, fault)| {
+                    let forward =
+                        GuardRuntime::contain(fault, || Some(model.forward(&noisy, false)));
+                    (i, forward)
+                },
+            )
+            .into_iter()
+            .peekable();
+        // The guard judges the outputs in module order, so events and
+        // telemetry never depend on scheduling.
+        let mut events: Vec<FaultEvent> = Vec::new();
+        let mut proposals: Vec<Option<DetectionSet>> = vec![None; self.modules.len()];
+        for (i, state) in states.iter().enumerate() {
+            if !state.is_operational() {
+                continue;
             }
-            self.recorder
-                .emit_timed(timing, || TelemetryEvent::ModuleInference {
-                    module: i,
-                    frame,
-                    verdict: obs_verdict,
-                });
+            let forward = forwards.next_if(|(j, _)| *j == i).map(|(_, f)| f);
+            let settled = self
+                .guard
+                .settle(i, frame, faults[i], forward, n_samples, &mut events);
+            proposals[i] = settled
+                .accepted()
+                .map(|logits| decode(logits, self.cfg.threshold));
         }
         let verdict = vote_detections(&proposals, self.cfg.agreement_tolerance);
-        self.recorder.emit(|| {
+        self.guard.recorder().emit(|| {
             let proposing = proposals.iter().flatten().count();
             let (outcome, agreeing) = match &verdict {
                 Verdict::Output(fused) => (
@@ -508,30 +453,9 @@ impl MultiVersionPerception {
         // Escalate repeat offenders into the health process's reactive
         // repair loop (after the vote: their proposals were already
         // withheld or decoded).
-        if self.cfg.watchdog.is_some() {
-            let mut faulted = vec![false; self.modules.len()];
-            for e in &events {
-                faulted[e.module] = true;
-            }
-            for (m, _) in faulted.iter().enumerate().filter(|(_, &f)| f) {
-                if self.watchdog.observe(m, frame) && self.process.report_failure(m) {
-                    events.push(FaultEvent {
-                        module: m,
-                        frame,
-                        kind: FaultEventKind::Escalated,
-                    });
-                    let faults_in_window = self.watchdog.config().threshold;
-                    self.recorder.emit(|| TelemetryEvent::WatchdogEscalation {
-                        module: m,
-                        frame,
-                        faults_in_window,
-                    });
-                }
-            }
-        }
-        for e in &events {
-            self.log.record(*e);
-        }
+        let process = &mut self.process;
+        self.guard
+            .escalate(frame, &mut events, |m| process.report_failure(m));
         PerceptionFrame {
             verdict,
             states,

@@ -240,19 +240,10 @@ pub struct RouteAggregate {
     pub skip_ratio: f64,
 }
 
-/// Runs a route `runs` times with distinct seeds and aggregates.
+/// Runs a route `runs` times with distinct seeds and aggregates. Run `i`
+/// emits telemetry under the child scope `run{i}` of `recorder`'s scope;
+/// pass [`mvml_obs::Recorder::disabled`] for none.
 pub fn aggregate_route(
-    route: &RouteSpec,
-    bank: &DetectorBank,
-    base: &RunConfig,
-    runs: usize,
-) -> RouteAggregate {
-    aggregate_route_traced(route, bank, base, runs, &mvml_obs::Recorder::disabled())
-}
-
-/// [`aggregate_route`] with telemetry: run `i` emits under the child scope
-/// `run{i}` of `recorder`'s scope.
-pub fn aggregate_route_traced(
     route: &RouteSpec,
     bank: &DetectorBank,
     base: &RunConfig,
@@ -370,7 +361,13 @@ mod tests {
     fn aggregation_arithmetic() {
         let bank = tiny_bank();
         let r = route(1).unwrap();
-        let agg = aggregate_route(&r, &bank, &healthy_cfg(1), 2);
+        let agg = aggregate_route(
+            &r,
+            &bank,
+            &healthy_cfg(1),
+            2,
+            &mvml_obs::Recorder::disabled(),
+        );
         assert_eq!(agg.runs, 2);
         assert_eq!(agg.route_id, 1);
         assert_eq!(agg.runs_with_collision, 0);

@@ -25,7 +25,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use mvml_bench::campaign::{
-    run_campaign_traced, validate_report, validate_telemetry, CampaignConfig, CampaignReport,
+    run_campaign, validate_report, validate_telemetry, CampaignConfig, CampaignReport,
 };
 use mvml_bench::format::{f, render_table};
 use mvml_obs::{read_jsonl, JsonlSink, Recorder};
@@ -136,7 +136,7 @@ fn main() {
     };
 
     eprintln!("training {} versions ({} classes)…", 3, cfg.sign.classes);
-    let report = run_campaign_traced(&cfg, &recorder);
+    let report = run_campaign(&cfg, &recorder);
 
     println!("runtime fault-injection campaign — grid\n");
     let rows: Vec<Vec<String>> = report

@@ -23,6 +23,7 @@ use mvml_core::dspn::{
 };
 use mvml_core::reliability::state_reliability;
 use mvml_core::{StateReliability, SystemParams, SystemState};
+use mvml_obs::Recorder;
 use mvml_petri::{
     erlang_expand, simulate, solve_steady, ExpectedReward, SimConfig, SolutionMethod,
 };
@@ -83,8 +84,13 @@ fn closed_form_reference(n: u32, proactive: bool, params: &SystemParams) -> f64 
     } else {
         mv.net
     };
-    let sol = solve_steady(&net, &SolutionMethod::Auto, &SolveOptions::default().solver)
-        .expect("steady state");
+    let sol = solve_steady(
+        &net,
+        &SolutionMethod::Auto,
+        &SolveOptions::default().solver,
+        &Recorder::disabled(),
+    )
+    .expect("steady state");
     // Non-functional (failed or rejuvenating) modules leave the vote; the
     // closed form only sees the functional split.
     let (pmh, pmc) = (mv.pmh, mv.pmc);

@@ -14,6 +14,7 @@ use mvml_avsim::runner::RunConfig;
 use mvml_avsim::{DetectorBank, DetectorTrainConfig};
 use mvml_bench::casestudy::campaign;
 use mvml_bench::format::{f, opt, render_table};
+use mvml_obs::Recorder;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -37,9 +38,19 @@ fn main() {
     };
 
     eprintln!("running 8 routes x {runs} runs, with rejuvenation…");
-    let with_rej = campaign(&bank, &RunConfig::case_study(true, 0xCA51), runs);
+    let with_rej = campaign(
+        &bank,
+        &RunConfig::case_study(true, 0xCA51),
+        runs,
+        &Recorder::disabled(),
+    );
     eprintln!("running 8 routes x {runs} runs, without rejuvenation…");
-    let without = campaign(&bank, &RunConfig::case_study(false, 0xCA51), runs);
+    let without = campaign(
+        &bank,
+        &RunConfig::case_study(false, 0xCA51),
+        runs,
+        &Recorder::disabled(),
+    );
 
     println!("Table VI — collision data w/ and w/o rejuvenation over the 8 routes\n");
     let mut rows = Vec::new();

@@ -13,6 +13,7 @@ use mvml_avsim::runner::{aggregate_route, RunConfig};
 use mvml_avsim::town::route;
 use mvml_avsim::{DetectorBank, DetectorTrainConfig};
 use mvml_bench::format::{f, opt, render_table};
+use mvml_obs::Recorder;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -43,7 +44,7 @@ fn main() {
         eprintln!("interval 1/γ = {interval} s…");
         let mut cfg = RunConfig::case_study(true, 0x71AB);
         cfg.process.params.rejuvenation_interval = interval;
-        let agg = aggregate_route(&r1, &bank, &cfg, runs);
+        let agg = aggregate_route(&r1, &bank, &cfg, runs, &Recorder::disabled());
         rows.push(vec![
             f(interval, 0),
             opt(agg.first_collision_frame, 0),

@@ -44,7 +44,7 @@ use mvml_nn::train::{train_classifier, TrainConfig};
 use mvml_nn::{Dataset, Sequential};
 use mvml_obs::{Recorder, TelemetryEvent, TelemetryRecord, VoterOutcome, VotingRule};
 use mvml_petri::{
-    erlang_expand, simulate, solve_steady_traced, ExpectedReward, SimConfig, SolutionMethod,
+    erlang_expand, simulate, solve_steady, ExpectedReward, SimConfig, SolutionMethod,
 };
 use serde::{Deserialize, Serialize};
 
@@ -606,7 +606,7 @@ fn run_cross_check(
         } else {
             &mv.net
         };
-        let sol = solve_steady_traced(
+        let sol = solve_steady(
             solved,
             &SolutionMethod::Auto,
             &SolveOptions::default().solver,
@@ -663,13 +663,10 @@ fn run_cross_check(
 /// Trains the three versions and runs every campaign stage. Fully
 /// deterministic for a given configuration: the same config produces a
 /// byte-identical serialised report.
-pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
-    run_campaign_traced(cfg, &Recorder::disabled())
-}
-
-/// [`run_campaign`] with telemetry: every experiment stage emits
-/// frame-scoped [`TelemetryEvent`]s into `recorder`, scoped so the stream
-/// can be cross-validated against the report it accompanies
+///
+/// Every experiment stage emits frame-scoped [`TelemetryEvent`]s into
+/// `recorder` ([`Recorder::disabled`] for none), scoped so the stream can
+/// be cross-validated against the report it accompanies
 /// ([`validate_telemetry`]):
 ///
 /// * `grid/{fault}/r{rate}/{guard}/seed{seed}` — one stream per grid run;
@@ -678,11 +675,11 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
 /// * `crosscheck/{variant}/{solve,des,chain}` — analytic solve, DES, and
 ///   the live system under the health chain.
 ///
-/// Telemetry is observe-only: the returned report is byte-identical to a
-/// [`run_campaign`] run of the same configuration. Training and the
-/// per-state reward measurement are deliberately unrecorded — they are
-/// calibration, not part of any experiment stream.
-pub fn run_campaign_traced(cfg: &CampaignConfig, recorder: &Recorder) -> CampaignReport {
+/// Telemetry is observe-only: the returned report is byte-identical with
+/// an enabled or a disabled recorder. Training and the per-state reward
+/// measurement are deliberately unrecorded — they are calibration, not
+/// part of any experiment stream.
+pub fn run_campaign(cfg: &CampaignConfig, recorder: &Recorder) -> CampaignReport {
     let train = generate(
         &cfg.sign,
         cfg.sign.classes * cfg.train_per_class,
@@ -834,7 +831,7 @@ pub fn validate_report(report: &CampaignReport) -> Result<(), String> {
 ///
 /// A disabled recorder yields an empty stream, which is rejected: this
 /// function is only meaningful for reports produced by
-/// [`run_campaign_traced`] with an enabled recorder.
+/// [`run_campaign`] with an enabled recorder.
 ///
 /// # Errors
 ///
@@ -1061,7 +1058,7 @@ mod tests {
     fn traced_micro(cfg: &CampaignConfig) -> (CampaignReport, Vec<TelemetryRecord>) {
         let ring = Arc::new(RingBufferSink::new(200_000));
         let recorder = Recorder::with_sinks(vec![ring.clone()]);
-        let report = run_campaign_traced(cfg, &recorder);
+        let report = run_campaign(cfg, &recorder);
         assert_eq!(ring.dropped(), 0, "ring buffer must hold the full stream");
         (report, ring.snapshot())
     }
@@ -1069,7 +1066,7 @@ mod tests {
     #[test]
     fn micro_campaign_is_valid_and_deterministic() {
         let cfg = micro();
-        let a = run_campaign(&cfg);
+        let a = run_campaign(&cfg, &Recorder::disabled());
         validate_report(&a).expect("campaign invariants");
         // Telemetry is observe-only: a traced run of the same config must
         // produce a byte-identical report, and its stream must validate

@@ -1,7 +1,7 @@
 //! Shared machinery for the CARLA-substitute case study (Tables VI–VIII):
 //! a standard trained detector bank and parallel campaign execution.
 
-use mvml_avsim::runner::{aggregate_route, aggregate_route_traced, RouteAggregate, RunConfig};
+use mvml_avsim::runner::{aggregate_route, RouteAggregate, RunConfig};
 use mvml_avsim::town::all_routes;
 use mvml_avsim::{DetectorBank, DetectorTrainConfig};
 use mvml_nn::parallel::ThreadPool;
@@ -17,35 +17,31 @@ pub fn standard_bank() -> DetectorBank {
 /// Runs the full eight-route campaign (`runs` per route) in parallel over
 /// a [`ThreadPool`], returning aggregates in route order. Each route's
 /// perception fan-out runs within its pool job's share of the threads.
-pub fn campaign(bank: &DetectorBank, base: &RunConfig, runs: usize) -> Vec<RouteAggregate> {
-    ThreadPool::new().map(all_routes(), |route| {
-        aggregate_route(&route, bank, base, runs)
-    })
-}
-
-/// [`campaign`] with telemetry. Routes still execute in parallel, but each
-/// records into a private buffer under the scope `route{id}/run{i}`; the
-/// buffers are replayed into `recorder` in route order once every route has
-/// finished, so the exported stream is deterministic (identical content for
-/// any thread interleaving — only the replayed records' timings carry
-/// wall-clock). With a disabled recorder this is exactly [`campaign`].
-pub fn campaign_traced(
+///
+/// With an enabled `recorder`, each route records into a private buffer
+/// under the scope `route{id}/run{i}`; the buffers are replayed into
+/// `recorder` in route order once every route has finished, so the
+/// exported stream is deterministic (identical content for any thread
+/// interleaving — only the replayed records' timings carry wall-clock).
+pub fn campaign(
     bank: &DetectorBank,
     base: &RunConfig,
     runs: usize,
     recorder: &Recorder,
 ) -> Vec<RouteAggregate> {
-    if !recorder.enabled() {
-        return campaign(bank, base, runs);
-    }
+    let traced = recorder.enabled();
     // Generous per-route bound: ~10 records per frame (module inferences,
     // voter decision, pool run, ticks, occasional health events).
     let capacity = (runs * base.max_frames).saturating_mul(64).max(4096);
     let results = ThreadPool::new().map(all_routes(), |route| {
+        if !traced {
+            let agg = aggregate_route(&route, bank, base, runs, &Recorder::disabled());
+            return (agg, Vec::new());
+        }
         // mvml-allow(telemetry_purity): the case-study harness owns its ring buffer to replay per-route streams; production code never reads sinks
         let ring = Arc::new(RingBufferSink::new(capacity));
         let local = Recorder::new(ring.clone()).scoped(&format!("route{}", route.id));
-        let agg = aggregate_route_traced(&route, bank, base, runs, &local);
+        let agg = aggregate_route(&route, bank, base, runs, &local);
         (agg, ring.snapshot())
     });
     let mut aggregates = Vec::with_capacity(results.len());
@@ -106,7 +102,7 @@ mod tests {
             proportional_selection: false,
             per_module_clocks: true,
         };
-        let aggregates = campaign(&bank, &base, 1);
+        let aggregates = campaign(&bank, &base, 1, &Recorder::disabled());
         assert_eq!(aggregates.len(), 8);
         for (i, a) in aggregates.iter().enumerate() {
             assert_eq!(a.route_id, i + 1);
@@ -117,7 +113,7 @@ mod tests {
         // replayed contiguously under its own scope.
         let ring = Arc::new(RingBufferSink::new(1 << 20));
         let recorder = Recorder::new(ring.clone());
-        let traced = campaign_traced(&bank, &base, 1, &recorder);
+        let traced = campaign(&bank, &base, 1, &recorder);
         assert_eq!(traced, aggregates, "telemetry must not perturb results");
         let records = ring.snapshot();
         assert_eq!(ring.dropped(), 0);

@@ -17,8 +17,8 @@ use crate::params::SystemParams;
 use crate::reliability::{StateReliability, SystemState};
 use mvml_obs::Recorder;
 use mvml_petri::{
-    erlang_expand, solve_steady_traced, ExpectedReward, Marking, Net, NetBuilder, PetriError,
-    PlaceId, ServerSemantics, SolutionInfo, SolutionMethod, SolverOptions, WeightSpec,
+    erlang_expand, solve_steady, ExpectedReward, Marking, Net, NetBuilder, PetriError, PlaceId,
+    ServerSemantics, SolutionInfo, SolutionMethod, SolverOptions, WeightSpec,
 };
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -338,7 +338,7 @@ pub fn expected_system_reliability_traced(
         mv.net
     };
     let (pmh, pmc) = (mv.pmh, mv.pmc);
-    let solution = solve_steady_traced(&solvable, &opts.method, &opts.solver, recorder)?;
+    let solution = solve_steady(&solvable, &opts.method, &opts.solver, recorder)?;
     // A state's reliability depends on its healthy and compromised counts
     // alone, so it is tabulated once per pair instead of once per marking.
     let model = StateReliability::new(params);

@@ -4,9 +4,10 @@
 //! The voter of the paper's Section IV assumes each operational module
 //! returns a finite, well-formed, on-time proposal. Real modules break that
 //! contract in richer ways than a weight fault: they panic mid-inference,
-//! overrun their deadline, or emit non-finite logits. The hardened
-//! classification path ([`NVersionSystem::classify_batch_detailed`])
-//! enforces the contract at the module boundary:
+//! overrun their deadline, or emit non-finite logits. The module boundary,
+//! [`GuardRuntime`], enforces the contract for the classifiers
+//! ([`NVersionSystem::classify_batch_detailed`]) and for `mvml-avsim`'s
+//! detectors alike:
 //!
 //! * every forward pass runs under `std::panic::catch_unwind` — a crashing
 //!   module is a non-responsive module, not a crashed system;
@@ -28,7 +29,7 @@ use crate::voter::{vote, Verdict, VotingScheme};
 use crate::watchdog::{FaultEvent, FaultEventKind, FaultLog, Watchdog, WatchdogConfig};
 use mvml_faultinject::{corrupt_in_place, RuntimeFault, RuntimeFaultPlan};
 use mvml_nn::{Dataset, Sequential, Tensor};
-use mvml_obs::{GuardVerdict, Recorder, TelemetryEvent, VoterOutcome, VotingRule};
+use mvml_obs::{GuardVerdict, Recorder, TelemetryEvent, Timing, VoterOutcome, VotingRule};
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
@@ -166,27 +167,37 @@ pub struct ClassifyReport {
     pub escalations: Vec<usize>,
 }
 
-/// The guard-mutable half of an N-version system: everything the hardened
-/// classification path reads *and writes* per round, split out from the
-/// module replicas so a sharded service can own one `GuardRuntime` per
-/// fault domain while module replicas move independently (e.g. across
-/// worker threads, or get rebuilt after a shard restart).
+/// The module boundary: the trusted runtime guard between ML module
+/// versions and the voter, and the only implementation of it.
 ///
-/// [`NVersionSystem`] remains the single-owner facade the batch binaries
-/// use; it is now a thin wrapper around `Vec<VersionedModule>` + this
-/// struct. Sharded callers (`mvml-serve`) construct the pair explicitly
-/// and call [`GuardRuntime::classify_batch_detailed`] with the module
-/// slice for the request, keeping request-scoped classification separate
-/// from the long-lived rejuvenation/watchdog state.
+/// Two callers own one each and keep only their own logic around it:
+/// [`NVersionSystem`] (the classifiers behind the batch binaries, the
+/// fault campaign and every `mvml-serve` shard) and `mvml-avsim`'s
+/// `MultiVersionPerception` (the detectors of the driving study). Each
+/// runs its own module loop and voter and, per frame, calls the guard's
+/// steps in order:
+///
+/// 1. [`GuardRuntime::begin_frame`], then [`GuardRuntime::planned_fault`]
+///    per operational module;
+/// 2. [`GuardRuntime::contain`] for each module that runs (every fault but
+///    [`RuntimeFault::Stale`]); it borrows nothing from the guard, so
+///    forwards can fan out across threads;
+/// 3. [`GuardRuntime::settle`] per operational module, in module order;
+/// 4. the caller's vote, then [`GuardRuntime::escalate`].
+///
+/// Health state stays with the caller: escalation reaches it through a
+/// `fail(module)` callback, and [`GuardRuntime::reset_module`] is called
+/// when a rejuvenation completes.
 #[derive(Debug, Clone)]
 pub struct GuardRuntime {
     guard: GuardConfig,
     watchdog: Watchdog,
     log: FaultLog,
     plan: Option<RuntimeFaultPlan>,
-    /// Per module: the logits produced on the last frame that yielded any
-    /// (shape, values) — replayed by stale-output faults.
-    last_logits: Vec<Option<(Vec<usize>, Vec<f32>)>>,
+    /// Per module: the (shape, values) of the logits produced on the last
+    /// frame that yielded any, replayed by stale-output faults. An empty
+    /// shape means there is nothing to replay. Refilled in place.
+    last_logits: Vec<(Vec<usize>, Vec<f32>)>,
     frame: u64,
     /// Telemetry stream for the hardened path. Observe-only: verdicts,
     /// events and escalations are byte-identical whether this recorder is
@@ -194,13 +205,48 @@ pub struct GuardRuntime {
     recorder: Recorder,
 }
 
-/// An N-version ML classification system: several [`VersionedModule`]s in
-/// front of a trusted voter, with a runtime guard between them.
-#[derive(Debug, Clone)]
-pub struct NVersionSystem {
-    modules: Vec<VersionedModule>,
-    scheme: VotingScheme,
-    runtime: GuardRuntime,
+/// What a contained forward pass produced (see [`GuardRuntime::contain`]).
+#[derive(Debug)]
+pub enum Forward {
+    /// The forward panicked (an injected crash or a real one).
+    Panicked,
+    /// The forward returned `logits` (`None`: the module had no output)
+    /// after `elapsed` wall-clock time.
+    Returned {
+        /// The module's raw output.
+        logits: Option<Tensor>,
+        /// Wall-clock time the forward took.
+        elapsed: Duration,
+    },
+}
+
+/// One module's output on one frame after the guard judged it (see
+/// [`GuardRuntime::settle`]).
+#[derive(Debug)]
+pub struct Settled {
+    logits: Option<Tensor>,
+    /// Per sample: whether the sanitizer kept it from the voter.
+    withheld: Vec<bool>,
+}
+
+impl Settled {
+    /// Sample `i`'s output row (its slice of the batch), or `None` when
+    /// the module produced nothing the voter may read for it.
+    pub fn sample(&self, i: usize) -> Option<&[f32]> {
+        let logits = self.logits.as_ref()?;
+        if self.withheld.get(i).copied().unwrap_or(true) {
+            return None;
+        }
+        let row = logits.len() / self.withheld.len();
+        logits.as_slice().get(i * row..(i + 1) * row)
+    }
+
+    /// The whole output, when no sample of it was withheld.
+    pub fn accepted(&self) -> Option<&Tensor> {
+        self.logits
+            .as_ref()
+            .filter(|_| !self.withheld.iter().any(|&w| w))
+    }
 }
 
 /// Capacity of the bounded fault-event log.
@@ -209,27 +255,21 @@ const FAULT_LOG_CAPACITY: usize = 4096;
 impl GuardRuntime {
     /// Guard state for `module_count` replicas under `guard`.
     pub fn new(module_count: usize, guard: GuardConfig) -> Result<Self, SystemError> {
-        if let Some(dl) = guard.deadline {
-            if dl.is_zero() {
-                return Err(SystemError::InvalidConfig {
-                    reason: "deadline budget must be positive".into(),
-                });
-            }
-        }
+        check_deadline(guard)?;
         let watchdog = Watchdog::new(module_count, guard.watchdog.unwrap_or_default())?;
         Ok(GuardRuntime {
             guard,
             watchdog,
             log: FaultLog::new(module_count, FAULT_LOG_CAPACITY),
             plan: None,
-            last_logits: vec![None; module_count],
+            last_logits: vec![(Vec::new(), Vec::new()); module_count],
             frame: 0,
             recorder: Recorder::disabled(),
         })
     }
 
-    /// Attaches a telemetry recorder to the hardened classification path
-    /// (observe-only; see [`NVersionSystem::set_recorder`]).
+    /// Attaches a telemetry recorder to the hardened path (observe-only;
+    /// see [`NVersionSystem::set_recorder`]).
     pub fn set_recorder(&mut self, recorder: Recorder) {
         self.recorder = recorder;
     }
@@ -245,30 +285,17 @@ impl GuardRuntime {
     }
 
     /// Replaces the runtime-guard configuration (rebuilding the watchdog
-    /// for `module_count` replicas when an escalation policy is set).
-    pub fn set_guard(
-        &mut self,
-        module_count: usize,
-        guard: GuardConfig,
-    ) -> Result<(), SystemError> {
-        if let Some(dl) = guard.deadline {
-            if dl.is_zero() {
-                return Err(SystemError::InvalidConfig {
-                    reason: "deadline budget must be positive".into(),
-                });
-            }
-        }
+    /// when an escalation policy is set).
+    pub fn set_guard(&mut self, guard: GuardConfig) -> Result<(), SystemError> {
+        check_deadline(guard)?;
         if let Some(wd) = guard.watchdog {
-            self.watchdog = Watchdog::new(module_count, wd)?;
+            self.watchdog = Watchdog::new(self.last_logits.len(), wd)?;
         }
         self.guard = guard;
         Ok(())
     }
 
     /// Attaches a deterministic runtime fault plan; `None` detaches it.
-    /// Per-module persistent faults
-    /// ([`VersionedModule::set_runtime_fault`]) take precedence over the
-    /// plan's per-frame draws.
     pub fn set_fault_plan(&mut self, plan: Option<RuntimeFaultPlan>) {
         self.plan = plan;
     }
@@ -278,220 +305,158 @@ impl GuardRuntime {
         &self.log
     }
 
-    /// Frames classified so far (the frame counter fault plans index by).
+    /// Frames begun so far (the frame counter fault plans index by).
     pub fn frames_classified(&self) -> u64 {
         self.frame
     }
 
-    /// Completes a rejuvenation of module `i` of `modules`: the module's
-    /// weights are restored and the guard state — watchdog window and
-    /// stale-replay buffer — forgets the pre-rejuvenation fault history.
-    pub fn rejuvenate_module(
-        &mut self,
-        modules: &mut [VersionedModule],
-        i: usize,
-    ) -> Result<(), SystemError> {
-        let count = modules.len();
-        let module = modules
-            .get_mut(i)
-            .ok_or(SystemError::ModuleIndex { index: i, count })?;
-        module.complete_rejuvenation();
-        self.watchdog.reset(i);
-        if let Some(slot) = self.last_logits.get_mut(i) {
-            *slot = None;
-        }
-        self.recorder
-            .emit(|| TelemetryEvent::RejuvenationCompleted { module: i });
-        Ok(())
-    }
-
-    /// Classifies a batch `[N, C, H, W]` through `modules` under the
-    /// runtime guard, returning the verdicts together with every detected
-    /// fault and watchdog escalation.
-    ///
-    /// Escalated modules are moved to [`ModuleState::NonFunctional`]
-    /// *after* this round's vote (their faulty proposals were already
-    /// withheld), so the caller's health process can route them through
-    /// reactive rejuvenation.
-    pub fn classify_batch_detailed(
-        &mut self,
-        modules: &mut [VersionedModule],
-        scheme: VotingScheme,
-        x: &Tensor,
-    ) -> ClassifyReport {
-        let n_samples = x.shape().first().copied().unwrap_or(0);
+    /// Starts a frame and returns its index.
+    pub fn begin_frame(&mut self) -> u64 {
         let frame = self.frame;
         self.frame += 1;
+        frame
+    }
 
-        let mut proposals: Vec<Vec<Option<usize>>> = Vec::with_capacity(modules.len());
-        let mut events: Vec<FaultEvent> = Vec::new();
-        let guard = self.guard;
-        let plan = self.plan.as_ref();
-        let last_logits = &mut self.last_logits;
-        let recorder = self.recorder.clone();
+    /// The fault the attached plan draws for `module` on `frame`.
+    pub fn planned_fault(&self, module: usize, frame: u64) -> Option<RuntimeFault> {
+        self.plan.as_ref().and_then(|p| p.fault_for(module, frame))
+    }
 
-        for (m, module) in modules.iter_mut().enumerate() {
-            if !module.state().is_operational() {
-                proposals.push(vec![None; n_samples]);
-                continue;
+    /// Runs one module's `forward` inside the fault boundary: an injected
+    /// [`RuntimeFault::Crash`] panics in its place, any panic is caught,
+    /// and the wall-clock time is measured for the deadline check. Holds no
+    /// guard state, so forwards may run on worker threads.
+    pub fn contain(
+        fault: Option<RuntimeFault>,
+        forward: impl FnOnce() -> Option<Tensor>,
+    ) -> Forward {
+        // mvml-allow(determinism): real deadline measurement; replayed campaigns inject latency via the fault plan, never via wall-clock
+        let started = Instant::now();
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            if matches!(fault, Some(RuntimeFault::Crash)) {
+                // mvml-allow(panic_safety): injected crash fault, unwound by the catch_unwind boundary one frame up
+                panic!("injected crash fault");
             }
-            let fault = module
-                .runtime_fault()
-                .or_else(|| plan.and_then(|p| p.fault_for(m, frame)));
+            forward()
+        }));
+        match run {
+            Err(_) => Forward::Panicked,
+            Ok(logits) => Forward::Returned {
+                logits,
+                elapsed: started.elapsed(),
+            },
+        }
+    }
 
-            // Telemetry: what the guard concluded about this module's
-            // proposal, refined as the fault paths below resolve. Strictly
-            // observe-only — mirrors the `events` pushes bit for bit.
-            let mut obs_verdict = GuardVerdict::Accepted;
-            let span = recorder.span();
-
-            // Produce this round's logits according to the fault model.
-            let produced: Option<Tensor> = match fault {
-                Some(RuntimeFault::Stale) => {
-                    // A wedged stage serves its output buffer again; if it
-                    // never produced one, it has nothing to serve.
-                    let replay = last_logits[m]
-                        .as_ref()
-                        .filter(|(shape, _)| shape.first() == Some(&n_samples))
-                        .map(|(shape, values)| Tensor::from_vec(shape, values.clone()));
-                    obs_verdict = if replay.is_some() {
-                        GuardVerdict::StaleReplay
-                    } else {
-                        GuardVerdict::NoOutput
-                    };
-                    replay
-                }
-                _ => {
-                    // mvml-allow(determinism): real deadline measurement; replayed campaigns inject latency via the fault plan, never via wall-clock
-                    let started = Instant::now();
-                    let run = catch_unwind(AssertUnwindSafe(|| {
-                        if matches!(fault, Some(RuntimeFault::Crash)) {
-                            // mvml-allow(panic_safety): injected crash fault, unwound by the catch_unwind boundary one frame up
-                            panic!("injected crash fault");
-                        }
-                        module.infer_logits(x)
-                    }));
-                    match run {
-                        Err(_) => {
-                            events.push(FaultEvent {
-                                module: m,
-                                frame,
-                                kind: FaultEventKind::Panic,
-                            });
-                            obs_verdict = GuardVerdict::Panicked;
-                            None
-                        }
-                        Ok(logits) => {
-                            let late = matches!(fault, Some(RuntimeFault::Latency))
-                                || guard.deadline.is_some_and(|dl| started.elapsed() > dl);
-                            if late {
-                                events.push(FaultEvent {
-                                    module: m,
-                                    frame,
-                                    kind: FaultEventKind::DeadlineMiss,
-                                });
-                                obs_verdict = GuardVerdict::DeadlineMissed;
-                                // The late answer still refreshes the stale
-                                // buffer — it was produced, just not in time.
-                                if let Some(t) = logits {
-                                    last_logits[m] =
-                                        Some((t.shape().to_vec(), t.as_slice().to_vec()));
-                                }
-                                None
-                            } else {
-                                if logits.is_none() {
-                                    obs_verdict = GuardVerdict::NoOutput;
-                                }
-                                logits.map(|mut t| {
-                                    if let Some(RuntimeFault::Corrupt(mode)) = fault {
-                                        corrupt_in_place(t.as_mut_slice(), mode);
-                                    }
-                                    last_logits[m] =
-                                        Some((t.shape().to_vec(), t.as_slice().to_vec()));
-                                    t
-                                })
-                            }
-                        }
-                    }
-                }
-            };
-            let timing = span.stop();
-
-            // Sanitize and reduce to per-sample class proposals.
-            let row = match produced {
-                None => vec![None; n_samples],
-                Some(logits) => {
-                    let (classes, poisoned) = sanitized_argmax(&logits, n_samples, guard.sanitize);
-                    if poisoned > 0 {
-                        events.push(FaultEvent {
-                            module: m,
-                            frame,
-                            kind: FaultEventKind::NonFiniteOutput { samples: poisoned },
-                        });
-                        obs_verdict = GuardVerdict::NonFinite { samples: poisoned };
-                    }
-                    classes
-                }
-            };
-            recorder.emit_timed(timing, || TelemetryEvent::ModuleInference {
+    /// Judges module `m`'s output on `frame`, a batch of `n_samples`.
+    /// `forward` is `None` for a module under a [`RuntimeFault::Stale`]
+    /// fault, which is not run and replays its stale buffer instead.
+    ///
+    /// Late answers (an injected [`RuntimeFault::Latency`], or a measured
+    /// overrun of [`GuardConfig::deadline`]) are discarded but refill the
+    /// stale buffer; on-time answers get their injected corruption and
+    /// refill it. What remains passes the sanitizer, which withholds every
+    /// sample carrying a non-finite value. Detections are appended to
+    /// `events` and the module's [`TelemetryEvent::ModuleInference`] is
+    /// emitted.
+    pub fn settle(
+        &mut self,
+        m: usize,
+        frame: u64,
+        fault: Option<RuntimeFault>,
+        forward: Option<Forward>,
+        n_samples: usize,
+        events: &mut Vec<FaultEvent>,
+    ) -> Settled {
+        let mut push = |kind| {
+            events.push(FaultEvent {
                 module: m,
                 frame,
-                verdict: obs_verdict,
-            });
-            proposals.push(row);
-        }
-
-        // Vote before escalation: this round's faulty proposals were
-        // already withheld sample-by-sample.
-        let verdicts: Vec<Verdict<usize>> = (0..n_samples)
-            .map(|i| {
-                let row: Vec<Option<usize>> = proposals.iter().map(|p| p[i]).collect();
-                let verdict = vote(scheme, &row);
-                recorder.emit(|| {
-                    let proposing = row.iter().flatten().count();
-                    let (outcome, agreeing) = match &verdict {
-                        Verdict::Output(class) => (
-                            VoterOutcome::Output {
-                                class: Some(*class),
-                            },
-                            row.iter().flatten().filter(|&&c| c == *class).count(),
-                        ),
-                        Verdict::Skip => (VoterOutcome::Skip, 0),
-                        Verdict::NoModules => (VoterOutcome::NoModules, 0),
-                    };
-                    TelemetryEvent::VoterDecision {
-                        frame,
-                        sample: i,
-                        outcome,
-                        rule: VotingRule::for_proposal_count(proposing),
-                        proposing,
-                        agreeing,
-                        withheld: row.len() - proposing,
-                    }
-                });
-                verdict
+                kind,
             })
-            .collect();
+        };
+        let mut timing = None;
+        let (mut verdict, logits) = match forward {
+            None => {
+                // A wedged stage serves its output buffer again; if it
+                // never produced one, it has nothing to serve.
+                let (shape, values) = &self.last_logits[m];
+                if shape.first() == Some(&n_samples) {
+                    let replay = Tensor::from_vec(shape, values.clone());
+                    (GuardVerdict::StaleReplay, Some(replay))
+                } else {
+                    (GuardVerdict::NoOutput, None)
+                }
+            }
+            Some(Forward::Panicked) => {
+                push(FaultEventKind::Panic);
+                (GuardVerdict::Panicked, None)
+            }
+            Some(Forward::Returned { logits, elapsed }) => {
+                timing = Some(Timing {
+                    duration_ns: u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX),
+                });
+                let late = matches!(fault, Some(RuntimeFault::Latency))
+                    || self.guard.deadline.is_some_and(|dl| elapsed > dl);
+                if late {
+                    // The late answer still refreshes the stale buffer: it
+                    // was produced, just not in time.
+                    if let Some(t) = &logits {
+                        self.remember(m, t);
+                    }
+                    push(FaultEventKind::DeadlineMiss);
+                    (GuardVerdict::DeadlineMissed, None)
+                } else if let Some(mut t) = logits {
+                    if let Some(RuntimeFault::Corrupt(mode)) = fault {
+                        corrupt_in_place(t.as_mut_slice(), mode);
+                    }
+                    self.remember(m, &t);
+                    (GuardVerdict::Accepted, Some(t))
+                } else {
+                    (GuardVerdict::NoOutput, None)
+                }
+            }
+        };
+        let withheld = match &logits {
+            None => vec![true; n_samples],
+            Some(t) => {
+                let (withheld, poisoned) = sanitize(t, n_samples, self.guard.sanitize);
+                if poisoned > 0 {
+                    push(FaultEventKind::NonFiniteOutput { samples: poisoned });
+                    verdict = GuardVerdict::NonFinite { samples: poisoned };
+                }
+                withheld
+            }
+        };
+        self.recorder
+            .emit_timed(timing, || TelemetryEvent::ModuleInference {
+                module: m,
+                frame,
+                verdict,
+            });
+        Settled { logits, withheld }
+    }
 
-        // Feed the watchdog (one observation per module per round) and
-        // escalate repeat offenders into the reactive-rejuvenation path.
+    /// Closes `frame` after its vote: every module with a detection in
+    /// `events` is observed by the watchdog (when escalation is on), and a
+    /// repeat offender is escalated if `fail(module)` takes it out of
+    /// service, which appends an [`FaultEventKind::Escalated`] event. All
+    /// of the frame's events then go to the fault log. Returns the
+    /// escalated modules.
+    pub fn escalate(
+        &mut self,
+        frame: u64,
+        events: &mut Vec<FaultEvent>,
+        mut fail: impl FnMut(usize) -> bool,
+    ) -> Vec<usize> {
         let mut escalations = Vec::new();
         if self.guard.watchdog.is_some() {
-            let faulted: Vec<usize> = {
-                let mut seen = vec![false; modules.len()];
-                for e in &events {
-                    if !matches!(e.kind, FaultEventKind::Escalated) {
-                        seen[e.module] = true;
-                    }
-                }
-                seen.iter()
-                    .enumerate()
-                    .filter_map(|(i, &s)| s.then_some(i))
-                    .collect()
-            };
-            for m in faulted {
-                if self.watchdog.observe(m, frame) {
-                    modules[m].fail();
+            let mut faulted = vec![false; self.last_logits.len()];
+            for e in events.iter() {
+                faulted[e.module] = true;
+            }
+            for (m, _) in faulted.iter().enumerate().filter(|(_, &f)| f) {
+                if self.watchdog.observe(m, frame) && fail(m) {
                     events.push(FaultEvent {
                         module: m,
                         frame,
@@ -502,7 +467,7 @@ impl GuardRuntime {
                     // threshold, so the count at escalation *is* the
                     // configured threshold.
                     let faults_in_window = self.watchdog.config().threshold;
-                    recorder.emit(|| TelemetryEvent::WatchdogEscalation {
+                    self.recorder.emit(|| TelemetryEvent::WatchdogEscalation {
                         module: m,
                         frame,
                         faults_in_window,
@@ -510,16 +475,50 @@ impl GuardRuntime {
                 }
             }
         }
-
-        for e in &events {
+        for e in events.iter() {
             self.log.record(*e);
         }
-        ClassifyReport {
-            verdicts,
-            events,
-            escalations,
-        }
+        escalations
     }
+
+    /// Module `m` was rejuvenated: its watchdog window and stale buffer
+    /// forget the pre-rejuvenation fault history.
+    pub fn reset_module(&mut self, m: usize) {
+        self.watchdog.reset(m);
+        if let Some((shape, values)) = self.last_logits.get_mut(m) {
+            shape.clear();
+            values.clear();
+        }
+        self.recorder
+            .emit(|| TelemetryEvent::RejuvenationCompleted { module: m });
+    }
+
+    /// Refills module `m`'s stale buffer with `t`, in place.
+    fn remember(&mut self, m: usize, t: &Tensor) {
+        let (shape, values) = &mut self.last_logits[m];
+        shape.clear();
+        shape.extend_from_slice(t.shape());
+        values.clear();
+        values.extend_from_slice(t.as_slice());
+    }
+}
+
+fn check_deadline(guard: GuardConfig) -> Result<(), SystemError> {
+    match guard.deadline {
+        Some(dl) if dl.is_zero() => Err(SystemError::InvalidConfig {
+            reason: "deadline budget must be positive".into(),
+        }),
+        _ => Ok(()),
+    }
+}
+
+/// An N-version ML classification system: several [`VersionedModule`]s in
+/// front of a trusted voter, with a runtime guard between them.
+#[derive(Debug, Clone)]
+pub struct NVersionSystem {
+    modules: Vec<VersionedModule>,
+    scheme: VotingScheme,
+    runtime: GuardRuntime,
 }
 
 impl NVersionSystem {
@@ -573,20 +572,6 @@ impl NVersionSystem {
     /// The active voting scheme.
     pub fn scheme(&self) -> VotingScheme {
         self.scheme
-    }
-
-    /// The guard-mutable half of the system (watchdog, fault log, fault
-    /// plan, stale-replay buffer, frame counter, recorder).
-    pub fn runtime(&self) -> &GuardRuntime {
-        &self.runtime
-    }
-
-    /// Splits the system into its module replicas and guard runtime, the
-    /// shard-safe view: request-scoped classification borrows both, while
-    /// health management (rejuvenation, guard reconfiguration) mutates
-    /// them through explicit, separately borrowable halves.
-    pub fn parts_mut(&mut self) -> (&mut [VersionedModule], &mut GuardRuntime) {
-        (&mut self.modules, &mut self.runtime)
     }
 
     /// Attaches a telemetry recorder to the hardened classification path.
@@ -652,7 +637,7 @@ impl NVersionSystem {
 
     /// Replaces the runtime-guard configuration (rebuilding the watchdog).
     pub fn set_guard(&mut self, guard: GuardConfig) -> Result<(), SystemError> {
-        self.runtime.set_guard(self.modules.len(), guard)
+        self.runtime.set_guard(guard)
     }
 
     /// Attaches a deterministic runtime fault plan; `None` detaches it.
@@ -677,7 +662,9 @@ impl NVersionSystem {
     /// guard state is reset along with the weights: the watchdog window and
     /// the stale-replay buffer forget the pre-rejuvenation fault history.
     pub fn rejuvenate_module(&mut self, i: usize) -> Result<(), SystemError> {
-        self.runtime.rejuvenate_module(&mut self.modules, i)
+        self.try_module_mut(i)?.complete_rejuvenation();
+        self.runtime.reset_module(i);
+        Ok(())
     }
 
     /// Current `(healthy, compromised, non-functional)` counts; modules
@@ -709,8 +696,83 @@ impl NVersionSystem {
     /// withheld), so the caller's health process can route them through
     /// reactive rejuvenation.
     pub fn classify_batch_detailed(&mut self, x: &Tensor) -> ClassifyReport {
-        self.runtime
-            .classify_batch_detailed(&mut self.modules, self.scheme, x)
+        let n_samples = x.shape().first().copied().unwrap_or(0);
+        let frame = self.runtime.begin_frame();
+        let mut events: Vec<FaultEvent> = Vec::new();
+        let mut proposals: Vec<Vec<Option<usize>>> = Vec::with_capacity(self.modules.len());
+        for (m, module) in self.modules.iter_mut().enumerate() {
+            if !module.state().is_operational() {
+                proposals.push(vec![None; n_samples]);
+                continue;
+            }
+            let fault = module
+                .runtime_fault()
+                .or_else(|| self.runtime.planned_fault(m, frame));
+            let forward = (fault != Some(RuntimeFault::Stale))
+                .then(|| GuardRuntime::contain(fault, || module.infer_logits(x)));
+            let settled = self
+                .runtime
+                .settle(m, frame, fault, forward, n_samples, &mut events);
+            // Per-sample argmax over the IEEE-754 total order: without the
+            // sanitizer a NaN row votes a deterministic garbage class.
+            proposals.push(
+                (0..n_samples)
+                    .map(|i| {
+                        let row = settled.sample(i)?;
+                        row.iter()
+                            .enumerate()
+                            .max_by(|a, b| a.1.total_cmp(b.1))
+                            .map(|(c, _)| c)
+                    })
+                    .collect(),
+            );
+        }
+
+        // Vote before escalation: this round's faulty proposals were
+        // already withheld sample-by-sample.
+        let recorder = self.runtime.recorder();
+        let verdicts: Vec<Verdict<usize>> = (0..n_samples)
+            .map(|i| {
+                let row: Vec<Option<usize>> = proposals.iter().map(|p| p[i]).collect();
+                let verdict = vote(self.scheme, &row);
+                recorder.emit(|| {
+                    let proposing = row.iter().flatten().count();
+                    let (outcome, agreeing) = match &verdict {
+                        Verdict::Output(class) => (
+                            VoterOutcome::Output {
+                                class: Some(*class),
+                            },
+                            row.iter().flatten().filter(|&&c| c == *class).count(),
+                        ),
+                        Verdict::Skip => (VoterOutcome::Skip, 0),
+                        Verdict::NoModules => (VoterOutcome::NoModules, 0),
+                    };
+                    TelemetryEvent::VoterDecision {
+                        frame,
+                        sample: i,
+                        outcome,
+                        rule: VotingRule::for_proposal_count(proposing),
+                        proposing,
+                        agreeing,
+                        withheld: row.len() - proposing,
+                    }
+                });
+                verdict
+            })
+            .collect();
+
+        // Escalated modules go non-functional, so the caller's health
+        // process routes them through reactive rejuvenation.
+        let modules = &mut self.modules;
+        let escalations = self.runtime.escalate(frame, &mut events, |m| {
+            modules[m].fail();
+            true
+        });
+        ClassifyReport {
+            verdicts,
+            events,
+            escalations,
+        }
     }
 
     /// Evaluates the system on a labelled dataset, batch by batch.
@@ -730,44 +792,32 @@ impl NVersionSystem {
     }
 }
 
-/// Reduces a `[N, K]` logit tensor to per-sample class proposals.
+/// The sanitizer: which samples of `logits`, a batch of `n`, the voter
+/// must not read, and how many of them were poisoned. A sample is the
+/// slice of one batch index.
 ///
-/// With `sanitize`, any sample containing a non-finite logit yields `None`
-/// (the module is non-responsive for that sample); the second return is the
-/// number of such samples. Without `sanitize`, the argmax is taken over the
-/// IEEE-754 total order (NaN sorts above `+∞`), so corrupted samples vote
-/// a deterministic garbage class — the unhardened baseline's behaviour.
-///
-/// Malformed outputs (empty class dimension, wrong sample count) withhold
-/// every sample and count them all as poisoned.
-fn sanitized_argmax(
-    logits: &Tensor,
-    n_samples: usize,
-    sanitize: bool,
-) -> (Vec<Option<usize>>, usize) {
-    let k = logits.shape().last().copied().unwrap_or(0);
-    if k == 0 || logits.len() != n_samples * k {
-        return (vec![None; n_samples], n_samples);
+/// With `sanitize`, a sample containing a non-finite value is withheld
+/// (the module is non-responsive for that sample). Without it nothing is
+/// withheld and nothing is counted. A malformed output (wrong sample count,
+/// or empty samples) withholds and counts every sample either way.
+fn sanitize(logits: &Tensor, n: usize, sanitize: bool) -> (Vec<bool>, usize) {
+    if n == 0 {
+        return (Vec::new(), 0);
     }
-    let mut poisoned = 0;
-    let classes = logits
+    let row = logits.len() / n;
+    if logits.shape().first() != Some(&n) || row == 0 {
+        return (vec![true; n], n);
+    }
+    if !sanitize {
+        return (vec![false; n], 0);
+    }
+    let poisoned: Vec<bool> = logits
         .as_slice()
-        .chunks(k)
-        .map(|row| {
-            let finite = row.iter().all(|v| v.is_finite());
-            if !finite {
-                poisoned += 1;
-                if sanitize {
-                    return None;
-                }
-            }
-            row.iter()
-                .enumerate()
-                .max_by(|a, b| a.1.total_cmp(b.1))
-                .map(|(i, _)| i)
-        })
+        .chunks(row)
+        .map(|r| r.iter().any(|v| !v.is_finite()))
         .collect();
-    (classes, if sanitize { poisoned } else { 0 })
+    let count = poisoned.iter().filter(|&&p| p).count();
+    (poisoned, count)
 }
 
 #[cfg(test)]
@@ -939,6 +989,16 @@ mod tests {
             }),
             Err(SystemError::InvalidConfig { .. })
         ));
+        assert!(matches!(
+            GuardRuntime::new(
+                3,
+                GuardConfig {
+                    deadline: Some(Duration::ZERO),
+                    ..GuardConfig::default()
+                }
+            ),
+            Err(SystemError::InvalidConfig { .. })
+        ));
     }
 
     /// Modules whose "network" is the identity: logits = input rows.
@@ -1046,46 +1106,6 @@ mod tests {
             report.verdicts,
             vec![Verdict::NoModules, Verdict::NoModules]
         );
-    }
-
-    #[test]
-    fn guard_runtime_split_matches_facade() {
-        // Classifying through the split (modules, runtime) halves must be
-        // indistinguishable from the facade — the shard path in mvml-serve
-        // relies on this equivalence.
-        let x = Tensor::from_vec(&[1, 3], vec![0.1, 0.9, 0.2]);
-        let mut facade = passthrough_system(3);
-        facade.module_mut(1).set_runtime_fault(RuntimeFault::Crash);
-        let mut split = passthrough_system(3);
-        split.module_mut(1).set_runtime_fault(RuntimeFault::Crash);
-        for _ in 0..4 {
-            let expected = facade.classify_batch_detailed(&x);
-            let scheme = split.scheme();
-            let (modules, runtime) = split.parts_mut();
-            let got = runtime.classify_batch_detailed(modules, scheme, &x);
-            assert_eq!(got, expected);
-        }
-        assert_eq!(split.state_counts(), facade.state_counts());
-        assert_eq!(
-            split.fault_log().total(),
-            facade.fault_log().total(),
-            "fault logs stay in lockstep"
-        );
-        // Rejuvenation through the split halves resets guard state too.
-        let (modules, runtime) = split.parts_mut();
-        runtime.rejuvenate_module(modules, 1).expect("in range");
-        assert_eq!(split.module(1).state(), ModuleState::Healthy);
-        // Standalone construction rejects bad configs like the facade does.
-        assert!(matches!(
-            GuardRuntime::new(
-                3,
-                GuardConfig {
-                    deadline: Some(Duration::ZERO),
-                    ..GuardConfig::default()
-                }
-            ),
-            Err(SystemError::InvalidConfig { .. })
-        ));
     }
 
     #[test]

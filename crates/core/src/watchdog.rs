@@ -1,9 +1,9 @@
 //! Per-module fault accounting and the escalation watchdog.
 //!
-//! The hardened pipeline ([`crate::NVersionSystem::classify_batch_detailed`]
-//! and `mvml-avsim`'s perception loop) *detects* runtime faults — panics,
-//! deadline misses, non-finite outputs — but detection alone only protects
-//! the current frame. The [`Watchdog`] closes the runtime-assurance loop:
+//! The module boundary ([`crate::GuardRuntime`], which both
+//! [`crate::NVersionSystem`] and `mvml-avsim`'s perception run) *detects*
+//! runtime faults — panics, deadline misses, non-finite outputs — but
+//! detection alone only protects the current frame. The [`Watchdog`] closes the runtime-assurance loop:
 //! repeated faults from the same module within a sliding frame window are
 //! escalated into a *reactive rejuvenation trigger*, so runtime misbehaviour
 //! drives the exact same recover-on-detect path

@@ -98,9 +98,14 @@ pub fn steady_state(net: &Net) -> Result<SteadyState, PetriError> {
 ///
 /// See [`steady_state`].
 pub fn steady_state_with(net: &Net, opts: &SolverOptions) -> Result<SteadyState, PetriError> {
-    Ok(solve_steady(net, &SolutionMethod::Auto, opts)?
-        .into_steady_state()
-        .expect("analytic backend yields a steady state"))
+    Ok(solve_steady(
+        net,
+        &SolutionMethod::Auto,
+        opts,
+        &mvml_obs::Recorder::disabled(),
+    )?
+    .into_steady_state()
+    .expect("analytic backend yields a steady state"))
 }
 
 /// Solves a pre-computed reachability graph (the [`SolutionMethod::Auto`]

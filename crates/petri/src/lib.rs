@@ -105,7 +105,5 @@ pub use model::{
 pub use reach::{ReachOptions, ReachabilityGraph};
 pub use reward::ExpectedReward;
 pub use sim::{simulate, SimConfig, SimResult};
-pub use solve::{
-    solve_graph, solve_steady, solve_steady_traced, Backend, Solution, SolutionInfo, SolutionMethod,
-};
+pub use solve::{solve_graph, solve_steady, Backend, Solution, SolutionInfo, SolutionMethod};
 pub use transient::{transient, TransientSolution};

@@ -156,7 +156,11 @@ impl ExpectedReward for Solution {
     }
 }
 
-/// Solves `net` for its steady state with the chosen backend.
+/// Solves `net` for its steady state with the chosen backend, emitting one
+/// [`TelemetryEvent::SolverRun`] per successful solve to `recorder`: the
+/// backend provenance (backend, state count, residual) as deterministic
+/// content and the wall-clock solve time in the record's `timing` field.
+/// Pass [`Recorder::disabled`] for no telemetry.
 ///
 /// Analytic methods require a net without deterministic transitions (apply
 /// [`crate::erlang_expand`] first); [`SolutionMethod::Simulation`] handles
@@ -167,24 +171,6 @@ impl ExpectedReward for Solution {
 /// Propagates reachability, solver and simulation errors; see
 /// [`crate::steady_state`] and [`crate::simulate`].
 pub fn solve_steady(
-    net: &Net,
-    method: &SolutionMethod,
-    opts: &SolverOptions,
-) -> Result<Solution, PetriError> {
-    solve_steady_traced(net, method, opts, &Recorder::disabled())
-}
-
-/// [`solve_steady`] with solver telemetry: emits one
-/// [`TelemetryEvent::SolverRun`] per successful solve, carrying the
-/// backend provenance (backend, state count, residual) as deterministic
-/// content and the wall-clock solve time in the record's `timing` field.
-/// With a disabled recorder this is exactly [`solve_steady`].
-///
-/// # Errors
-///
-/// Propagates reachability, solver and simulation errors; see
-/// [`crate::steady_state`] and [`crate::simulate`].
-pub fn solve_steady_traced(
     net: &Net,
     method: &SolutionMethod,
     opts: &SolverOptions,
@@ -314,7 +300,7 @@ mod tests {
             (SolutionMethod::Dense, Backend::Dense),
             (SolutionMethod::GaussSeidel, Backend::GaussSeidel),
         ] {
-            let sol = solve_steady(&net, &method, &opts).unwrap();
+            let sol = solve_steady(&net, &method, &opts, &Recorder::disabled()).unwrap();
             assert_eq!(sol.info().backend, expected_backend, "{method:?}");
             assert_eq!(sol.info().states, 2);
             assert!(sol.info().residual < 1e-8, "{method:?}");
@@ -332,7 +318,13 @@ mod tests {
             seed: 7,
             ..SimConfig::default()
         });
-        let sol = solve_steady(&net, &sim_method, &SolverOptions::default()).unwrap();
+        let sol = solve_steady(
+            &net,
+            &sim_method,
+            &SolverOptions::default(),
+            &Recorder::disabled(),
+        )
+        .unwrap();
         assert_eq!(sol.info().backend, Backend::Simulation);
         assert!(sol.info().residual > 0.0 && sol.info().residual < 0.05);
         assert!(sol.sim_result().is_some() && sol.steady_state().is_none());
@@ -347,7 +339,7 @@ mod tests {
             dense_threshold: 1,
             ..SolverOptions::default()
         };
-        let sol = solve_steady(&net, &SolutionMethod::Auto, &opts).unwrap();
+        let sol = solve_steady(&net, &SolutionMethod::Auto, &opts, &Recorder::disabled()).unwrap();
         assert_eq!(sol.info().backend, Backend::GaussSeidel);
     }
 
