@@ -796,11 +796,11 @@ impl NVersionSystem {
 /// must not read, and how many of them were poisoned. A sample is the
 /// slice of one batch index.
 ///
-/// With `sanitize`, a sample containing a non-finite value is withheld
-/// (the module is non-responsive for that sample). Without it nothing is
+/// When `enabled`, a sample containing a non-finite value is withheld
+/// (the module is non-responsive for that sample). Otherwise nothing is
 /// withheld and nothing is counted. A malformed output (wrong sample count,
 /// or empty samples) withholds and counts every sample either way.
-fn sanitize(logits: &Tensor, n: usize, sanitize: bool) -> (Vec<bool>, usize) {
+fn sanitize(logits: &Tensor, n: usize, enabled: bool) -> (Vec<bool>, usize) {
     if n == 0 {
         return (Vec::new(), 0);
     }
@@ -808,7 +808,7 @@ fn sanitize(logits: &Tensor, n: usize, sanitize: bool) -> (Vec<bool>, usize) {
     if logits.shape().first() != Some(&n) || row == 0 {
         return (vec![true; n], n);
     }
-    if !sanitize {
+    if !enabled {
         return (vec![false; n], 0);
     }
     let poisoned: Vec<bool> = logits
