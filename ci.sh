@@ -6,7 +6,8 @@
 # smoke gate (wire-fault totality + rejuvenation availability vs the DSPN
 # model, byte-stable across reruns and shard counts), the avsim artifact
 # gate (Tables VI/VII and the av_safety example regenerated and
-# byte-compared with results/), and the
+# byte-compared with results/), the Table V gate (its analytic + DES
+# stdout byte-compared with results/), and the
 # perf-regression gate (A/B pairs of `bash benchmark/run.sh` against the
 # base commit, judged by the end-to-end bounds in BENCHMARK.json).
 #
@@ -17,7 +18,7 @@
 # Knobs:
 #   GATES="..."  run only the named gates (space- or comma-separated).
 #                Known names: fmt clippy docs test analyze benchmark campaign
-#                serve chaos avsim perf tsan miri. Example: GATES="fmt,clippy,test".
+#                serve chaos avsim table5 perf tsan miri. Example: GATES="fmt,clippy,test".
 #                Unset/empty = the full default lane (tsan/miri only when
 #                their knobs below ask for them).
 #   PERF_GATE=0  skip the perf-regression gate (it builds the benchmark at
@@ -42,7 +43,7 @@ cd "$(dirname "$0")"
 # Gate harness: run_gate times a gate_<name> function, prints the one-line
 # summary, and the EXIT trap names the gate when anything inside it fails.
 # ---------------------------------------------------------------------------
-KNOWN_GATES="fmt clippy docs test analyze benchmark campaign serve chaos avsim perf tsan miri"
+KNOWN_GATES="fmt clippy docs test analyze benchmark campaign serve chaos avsim table5 perf tsan miri"
 CURRENT_GATE=""
 GATE_T0=0
 # The perf gate's base-commit worktree, removed on exit.
@@ -277,6 +278,20 @@ gate_avsim() {
   return "$stale"
 }
 
+gate_table5() {
+  # Paper-table gate: Table V's analytic solves and its seeded DES
+  # cross-check are deterministic, so `table5_reliability --simulate`'s
+  # stdout (well under a second) is regenerated and byte-compared with
+  # results/table5_reliability.txt.
+  echo "== table5: Table V (analytic + DES) vs results/ =="
+  cargo build -q --release -p mvml-bench --bin table5_reliability
+  target/release/table5_reliability --simulate >target/table5_reliability.txt
+  if ! cmp -s results/table5_reliability.txt target/table5_reliability.txt; then
+    echo "results/table5_reliability.txt is stale: diff it against target/table5_reliability.txt" >&2
+    return 1
+  fi
+}
+
 gate_perf() {
   # Perf-regression gate: A/B pairs of `bash benchmark/run.sh`, the
   # benchmark in BENCHMARK.json, run on this checkout and on its base
@@ -413,7 +428,7 @@ if [[ -n "${GATES:-}" ]]; then
     esac
   done
 else
-  SELECTED="fmt clippy docs test analyze benchmark campaign serve chaos avsim perf"
+  SELECTED="fmt clippy docs test analyze benchmark campaign serve chaos avsim table5 perf"
   [[ "${TSAN:-0}" == "1" ]] && SELECTED+=" tsan"
   [[ "${MIRI:-0}" == "1" ]] && SELECTED+=" miri"
 fi

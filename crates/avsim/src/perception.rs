@@ -338,8 +338,8 @@ impl MultiVersionPerception {
                     }
                 }
                 StateEvent::Recovered { module } | StateEvent::ProactiveCompleted { module } => {
-                    let pristine = self.modules[module].pristine.clone();
-                    self.modules[module].model.restore(&pristine);
+                    let m = &mut self.modules[module];
+                    m.model.restore(&m.pristine);
                     // The fresh deployment starts with a clean slate: old
                     // faults must not count toward a new escalation, and a
                     // stale replay must not serve pre-rejuvenation output.

@@ -4,6 +4,7 @@ use mvml_faultinject::{random_weight_inj, FaultRecord, RuntimeFault};
 use mvml_nn::layer::Layer;
 use mvml_nn::{ModelState, Sequential, Tensor};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Health state of an ML module (Fig. 1 of the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -28,6 +29,9 @@ impl ModuleState {
 
 /// One version of the multi-version system: a trained model, a pristine
 /// snapshot of its weights ("safe memory location"), and its health state.
+/// The snapshot is immutable and shared: a cloned module (a serve shard
+/// rebuilt from its blueprint) points at the same weights instead of
+/// copying them.
 ///
 /// A module may additionally carry a *diversity pool* of alternative
 /// trained variants: the paper's Section IV notes that "leveraging
@@ -38,7 +42,7 @@ impl ModuleState {
 #[derive(Debug, Clone)]
 pub struct VersionedModule {
     model: Sequential,
-    pristine: ModelState,
+    pristine: Arc<ModelState>,
     state: ModuleState,
     active_fault: Option<FaultRecord>,
     /// A persistent *runtime* fault manifestation: while set, every forward
@@ -49,7 +53,7 @@ pub struct VersionedModule {
     /// Alternative pristine variants for diversified rejuvenation, paired
     /// with their snapshots; `pool_index` tracks the variant currently
     /// deployed (0 = the original).
-    diversity_pool: Vec<(Sequential, ModelState)>,
+    diversity_pool: Vec<(Sequential, Arc<ModelState>)>,
     pool_index: usize,
 }
 
@@ -57,7 +61,7 @@ impl VersionedModule {
     /// Wraps a (trained) model; its current weights become the pristine
     /// snapshot that rejuvenation restores.
     pub fn new(mut model: Sequential) -> Self {
-        let pristine = model.snapshot();
+        let pristine = Arc::new(model.snapshot());
         VersionedModule {
             model,
             pristine,
@@ -78,7 +82,7 @@ impl VersionedModule {
         module.diversity_pool = std::iter::once(model)
             .chain(alternates)
             .map(|mut m| {
-                let snap = m.snapshot();
+                let snap = Arc::new(m.snapshot());
                 (m, snap)
             })
             .collect();
@@ -106,7 +110,7 @@ impl VersionedModule {
         fresh.restore(snap);
         // The deployed variant's snapshot becomes the module's new "safe
         // memory location" for subsequent plain rejuvenations.
-        self.pristine = snap.clone();
+        self.pristine = Arc::clone(snap);
         self.model = fresh;
         self.active_fault = None;
         self.runtime_fault = None;
@@ -269,6 +273,37 @@ mod tests {
         let restored = m.model_mut().snapshot();
         let mut fresh = lenet_mini(16, 10, 38);
         assert_eq!(restored, fresh.snapshot());
+    }
+
+    fn weight_bits(m: &mut VersionedModule) -> Vec<u32> {
+        let snap = m.model_mut().snapshot();
+        snap.layers
+            .iter()
+            .flatten()
+            .flat_map(|(_, values)| values.iter().map(|v| v.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn cloned_systems_share_the_pristine_snapshot() {
+        let mut system = crate::system::NVersionSystem::new(vec![
+            lenet_mini(16, 10, 38),
+            lenet_mini(16, 10, 39),
+        ]);
+        let mut clone = system.clone();
+        for i in 0..2 {
+            let (a, b) = (system.module(i), clone.module(i));
+            assert!(Arc::ptr_eq(&a.pristine, &b.pristine), "module {i} copied");
+        }
+        // Both copies still restore the trained bits after a compromise.
+        let want = weight_bits(system.module_mut(0));
+        for (copy, seed) in [(&mut system, 3), (&mut clone, 4)] {
+            let m = copy.module_mut(0);
+            let _ = m.compromise(0, -10.0, 30.0, seed);
+            assert_ne!(weight_bits(m), want);
+            m.complete_rejuvenation();
+            assert_eq!(weight_bits(m), want);
+        }
     }
 
     #[test]

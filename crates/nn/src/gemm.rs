@@ -60,7 +60,7 @@
 //! each tile element starts at zero, sums its `KC` block `k` ascending, and
 //! is then added to `C`.
 
-// The one crate module where `unsafe` is allowed (see `lib.rs`): the
+// One of the crate modules where `unsafe` is allowed (see `lib.rs`): the
 // `std::arch` microkernels and the disjoint-column-stripe writes below.
 #![allow(unsafe_code)]
 
@@ -292,11 +292,7 @@ fn driver(m: usize, k: usize, n: usize, a: Mat<'_>, b: Mat<'_>, c: &mut [f32], a
         kernel,
         tuning: t,
     } = exec::current();
-    let threads = if m * k * n < t.parallel_macs {
-        1
-    } else {
-        threads
-    };
+    let threads = fan_out(m * k * n, threads, &t);
 
     if !b.transposed && m <= t.stream_max_rows {
         stream_driver(kernel, m, k, n, a, b, c, threads);
@@ -322,6 +318,16 @@ fn driver(m: usize, k: usize, n: usize, a: Mat<'_>, b: Mat<'_>, c: &mut [f32], a
             });
         }
     });
+}
+
+/// Threads a product of `macs` multiply-adds runs on: all `threads` from
+/// [`Tuning::parallel_macs`] on, one below it.
+fn fan_out(macs: usize, threads: usize, t: &Tuning) -> usize {
+    if macs < t.parallel_macs {
+        1
+    } else {
+        threads
+    }
 }
 
 /// Where the packed path's row kernel takes its `(NC, KC)` blocks of `B`.
@@ -1035,6 +1041,23 @@ mod tests {
                 ((x >> 40) as f32 / (1u64 << 24) as f32) - 0.5
             })
             .collect()
+    }
+
+    #[test]
+    fn default_tuning_keeps_model_products_on_one_thread() {
+        let t = Tuning::default();
+        // The classifiers' batch-1 dense products, then the largest
+        // products of their batch-32 training (alexnet-mini's dense1 and
+        // conv2 weight gradient).
+        for (m, k, n) in [
+            (1, 1536, 96),
+            (1, 1024, 128),
+            (32, 1536, 96),
+            (16, 8192, 72),
+        ] {
+            assert_eq!(fan_out(m * k * n, 2, &t), 1, "{m}x{k}x{n}");
+        }
+        assert_eq!(fan_out(512 * 512 * 512, 2, &t), 2);
     }
 
     #[test]

@@ -23,9 +23,24 @@
 //!   - the weight and bias gradients run the sums of up to 16 images side
 //!     by side as SIMD lanes ([`weight_grad_block`]).
 //!
+//!   These loops are the reference every GEMM kernel but one runs. When
+//!   the execution context's kernel is [`crate::gemm::Kernel::Avx512`], as
+//!   in `nn::gemm`, the direct path runs one hand-written AVX-512F kernel
+//!   per loop nest instead ([`avx512`]): the forward and the input
+//!   gradient share a row-block kernel that keeps up to four channels'
+//!   blocks in registers, so each input load serves all of them; a full
+//!   16-image lane block of the weight gradient is one zmm register per
+//!   chain, the `K·K` taps of an input row advancing together; and the
+//!   image-minor lowering goes through 16×16 register transposes. The lane
+//!   buffers start on 64-byte boundaries, so no lane load straddles two
+//!   cache lines.
+//!
 //! Each path fixes the order in which every output element sums its
 //! terms, so each is bitwise deterministic for any thread count and SIMD
-//! width. The direct path's orders:
+//! width, and the AVX-512 kernels keep the reference loops' orders,
+//! separate multiply and add (never FMA), skipped zero-weight taps and
+//! masked lanes, so every kernel computes the same bits. The direct path's
+//! orders:
 //!
 //! - forward: `y = bias`, then `+ w·x` over `(ic, ky, kx)`, zero weights
 //!   skipped (padding is read as `x = 0`);
@@ -83,9 +98,11 @@ enum ConvCache {
         w: usize,
     },
     /// Direct path: the zero-padded input in image-minor blocks, the
-    /// layout the weight-gradient lanes read (see [`image_minor`]).
+    /// layout the weight-gradient lanes read (see [`image_minor`]), from
+    /// `xt[start..]`.
     Padded {
         xt: Vec<f32>,
+        start: usize,
         n: usize,
         h: usize,
         w: usize,
@@ -116,6 +133,36 @@ const SEG: usize = 32;
 /// `SEG` that holds the row, so narrow planes waste few spare lanes.
 fn seg_width(width: usize) -> usize {
     width.next_power_of_two().clamp(8, SEG)
+}
+
+#[cfg(target_arch = "x86_64")]
+mod avx512;
+
+/// The direct path's kernels for this call: the AVX-512 kernels
+/// ([`avx512`]) when the execution context runs
+/// [`crate::gemm::Kernel::Avx512`], else `None`, the reference loops of
+/// this module (which every other kernel runs).
+#[cfg(target_arch = "x86_64")]
+type Simd = Option<avx512::Avx512>;
+#[cfg(not(target_arch = "x86_64"))]
+type Simd = Option<std::convert::Infallible>;
+
+fn simd() -> Simd {
+    #[cfg(target_arch = "x86_64")]
+    let simd = avx512::Avx512::get();
+    #[cfg(not(target_arch = "x86_64"))]
+    let simd = None;
+    simd
+}
+
+/// Lane segment per register block of the forward and input-gradient
+/// kernels over planes `width` values wide.
+fn segment(simd: Simd, width: usize) -> usize {
+    match simd {
+        #[cfg(target_arch = "x86_64")]
+        Some(_) => avx512::Avx512::segment(width),
+        _ => seg_width(width),
+    }
 }
 
 /// Signature of [`forward_rows`] at every segment width.
@@ -424,9 +471,9 @@ impl Conv2d {
 
     /// Direct forward: per image, pads the input planes, with the spare
     /// rows and lanes that the last row block and segment read past the
-    /// image, and runs [`forward_rows`] (summation order in the module
-    /// docs). A training call caches the input for the backward pass, in
-    /// `spare`'s allocation.
+    /// image, and runs [`forward_rows`] or its AVX-512 kernel (summation
+    /// order in the module docs). A training call caches the input for the
+    /// backward pass, in `spare`'s allocation.
     #[allow(clippy::too_many_arguments)]
     fn forward_direct(
         &mut self,
@@ -439,52 +486,73 @@ impl Conv2d {
         w: usize,
     ) -> Tensor {
         let (oh, ow) = self.out_hw(h, w);
-        let (oc_n, k) = (self.out_channels, self.kernel);
-        let seg = seg_width(ow);
+        let (oc_n, k, p) = (self.out_channels, self.kernel, self.padding);
+        let simd = simd();
+        let seg = segment(simd, ow);
         let ph = oh.next_multiple_of(ROWS) + k - 1;
         let pw = ow.next_multiple_of(seg) + k - 1;
-        // The non-zero taps of each output channel in `(ic, ky, kx)` order,
-        // as offsets into an image's padded planes; `ends[oc]` closes
-        // channel `oc`'s run.
-        let ckk = c * k * k;
-        let mut taps = Vec::with_capacity(oc_n * ckk);
-        let mut ends = Vec::with_capacity(oc_n);
-        for wo in self.weight.as_slice().chunks_exact(ckk) {
-            for (t, &wv) in wo.iter().enumerate() {
-                if wv != 0.0 {
-                    let (ic, ky, kx) = (t / (k * k), t / k % k, t % k);
-                    taps.push(((ic * ph + ky) * pw + kx, wv));
-                }
-            }
-            ends.push(taps.len());
-        }
-        let kernel: ForwardFn = match seg {
-            8 => forward_rows::<8>,
-            16 => forward_rows::<16>,
-            _ => forward_rows::<SEG>,
-        };
-        let mut sink = PlaneSink::new(n * oc_n * oh * ow, ow);
+        let (weights, bias) = (self.weight.as_slice(), self.bias.as_slice());
+        let len = n * oc_n * oh * ow;
         // One image at a time, padded into a reused buffer whose borders
-        // stay zero.
-        let mut xpad = vec![0.0f32; c * ph * pw];
-        for xi in x.as_slice().chunks_exact(c * h * w) {
-            pad_planes(xi, [h, w], self.padding, [ph, pw], &mut xpad);
-            kernel(
-                &xpad,
-                &taps,
-                &ends,
-                self.bias.as_slice(),
-                pw,
-                [oh, ow],
-                &mut sink,
-            );
-        }
-        let out = Tensor::from_vec(&[n, oc_n, oh, ow], sink.out);
+        // stay zero, unless the image is its own padded planes (no
+        // padding, spare rows or spare lanes).
+        let in_place = (ph, pw) == (h, w);
+        let mut xpad = vec![0.0f32; if in_place { 0 } else { c * ph * pw }];
+        let images = x.as_slice().chunks_exact(c * h * w);
+        let out = match simd {
+            #[cfg(target_arch = "x86_64")]
+            Some(avx) => {
+                let taps = avx.forward_taps(weights, [oc_n, c, k], [ph, pw]);
+                let mut out = Vec::with_capacity(len);
+                for xi in images {
+                    avx.rows(
+                        padded(xi, in_place, [h, w], p, [ph, pw], &mut xpad),
+                        &taps,
+                        bias,
+                        &[],
+                        [k, p, oh],
+                        [pw, 0],
+                        [oh, ow],
+                        &mut out,
+                    );
+                }
+                out
+            }
+            _ => {
+                // The non-zero taps of each output channel in `(ic, ky,
+                // kx)` order, as offsets into an image's padded planes;
+                // `ends[oc]` closes channel `oc`'s run.
+                let ckk = c * k * k;
+                let mut taps = Vec::with_capacity(oc_n * ckk);
+                let mut ends = Vec::with_capacity(oc_n);
+                for wo in weights.chunks_exact(ckk) {
+                    for (t, &wv) in wo.iter().enumerate() {
+                        if wv != 0.0 {
+                            let (ic, ky, kx) = (t / (k * k), t / k % k, t % k);
+                            taps.push(((ic * ph + ky) * pw + kx, wv));
+                        }
+                    }
+                    ends.push(taps.len());
+                }
+                let kernel: ForwardFn = match seg {
+                    8 => forward_rows::<8>,
+                    16 => forward_rows::<16>,
+                    _ => forward_rows::<SEG>,
+                };
+                let mut sink = PlaneSink::new(len, ow);
+                for xi in images {
+                    let src = padded(xi, in_place, [h, w], p, [ph, pw], &mut xpad);
+                    kernel(src, &taps, &ends, bias, pw, [oh, ow], &mut sink);
+                }
+                sink.out
+            }
+        };
+        let out = Tensor::from_vec(&[n, oc_n, oh, ow], out);
         if train {
             // Only the weight gradient reads the input back, in lanes:
             // cache it in that layout.
-            let xt = image_minor(x, n, c, h, w, self.padding, spare);
-            self.cache = Some(ConvCache::Padded { xt, n, h, w });
+            let (xt, start) = image_minor(x, [n, c, h, w], p, spare, simd);
+            self.cache = Some(ConvCache::Padded { xt, start, n, h, w });
         }
         out
     }
@@ -517,13 +585,25 @@ impl Conv2d {
         let (ph, pw) = (h + 2 * p, w + 2 * p);
         let gw = &mut self.grad_w;
         let gb = &mut self.grad_b;
-        ws.resize(oc_n * ohow * LANES, 0.0);
+        // `to_lanes` writes every value of the block it fills.
+        let start = lane_buffer(ws, oc_n * ohow * LANES, false);
+        let ws = &mut ws[start..];
         let xplane = c * ph * pw;
+        let simd = simd();
         for b0 in (0..n).step_by(LANES) {
             let width = block_width(n - b0);
             let dyt = &mut ws[..oc_n * ohow * width];
-            to_lanes(gs, oc_n * ohow, 0, n, b0, width, dyt);
+            to_lanes(gs, oc_n * ohow, 0, [n, b0, width], dyt, simd);
             let xb = &xt[b0 * xplane..][..width * xplane];
+            match simd {
+                #[cfg(target_arch = "x86_64")]
+                Some(avx) if width == LANES => {
+                    let valid = (n - b0).min(width);
+                    avx.weight_grad_block(dyt, xb, valid, [c, k], [ph, pw, oh, ow], gw, gb);
+                    continue;
+                }
+                _ => {}
+            }
             let block: BlockFn = match width {
                 1 => weight_grad_block::<1>,
                 2 => weight_grad_block::<2>,
@@ -543,13 +623,13 @@ impl Conv2d {
         }
     }
 
-    /// Direct input gradient: [`input_grad_rows`] per image, reading that
-    /// image's `dy` through a window in which input `(y, x)` and
-    /// tap `(ky, kx)` find their term at row `y + K-1-ky`, column
-    /// `x + K-1-kx`. When every read of the row blocks and segments lands
-    /// inside `dy` (`P ≥ K-1` and no spare rows or lanes) the window is
-    /// `dy` itself; otherwise each image's `dy` is copied into a
-    /// zero-bordered window in `ws`.
+    /// Direct input gradient: [`input_grad_rows`] or its AVX-512 kernel
+    /// per image, reading that image's `dy` through a window in which
+    /// input `(y, x)` and tap `(ky, kx)` find their term at row
+    /// `y + K-1-ky`, column `x + K-1-kx`. When every read of the row blocks
+    /// and segments lands inside `dy` (`P ≥ K-1` and no spare rows or
+    /// lanes) the window is `dy` itself; otherwise each image's `dy` is
+    /// copied into a zero-bordered window in `ws` ([`dy_window`]).
     fn input_grad_direct(&self, gs: &[f32], [n, h, w]: [usize; 3], ws: &mut Vec<f32>) -> Tensor {
         let (oc_n, c, k, p) = (
             self.out_channels,
@@ -558,7 +638,8 @@ impl Conv2d {
             self.padding,
         );
         let (oh, ow) = self.out_hw(h, w);
-        let seg = seg_width(w);
+        let simd = simd();
+        let seg = segment(simd, w);
         let (h2, w2) = (h.next_multiple_of(ROWS), w.next_multiple_of(seg));
         let in_place = p + 1 >= k && h2 == h && w2 == w;
         // Window plane stride, row stride, and the offset of window (0, 0):
@@ -572,83 +653,75 @@ impl Conv2d {
             ws.resize(oc_n * sh * sw, 0.0);
             (sh * sw, sw, 0)
         };
-        // Per input channel, its taps in `(oc, ky, kx)` order as (window
-        // offset, weight, ky, kx).
+        // Whether lane `x` of tap column `kx` lands inside the output's
+        // columns (`0 ≤ x + P - kx < OW`).
+        let inside = |x: usize, kx: usize| (x + p).wrapping_sub(kx) < ow;
         let wts = self.weight.as_slice();
-        let mut taps = Vec::with_capacity(c * oc_n * k * k);
-        for ic in 0..c {
-            for oc in 0..oc_n {
-                for (t, &wv) in wts[(oc * c + ic) * k * k..][..k * k].iter().enumerate() {
-                    let (ky, kx) = (t / k, t % k);
-                    let off = oc * splane + (k - 1 - ky) * srow + (k - 1 - kx);
-                    taps.push((off, wv, ky, kx));
-                }
-            }
-        }
-        // Per segment and `kx`, which lanes land inside the output's
-        // columns (`0 ≤ x + P - kx < OW`): all-ones or zero.
-        let mut masks = Vec::with_capacity(w2 * k);
-        for x0 in (0..w).step_by(seg) {
-            for kx in 0..k {
-                masks.extend((x0..x0 + seg).map(|x| {
-                    if (x + p).wrapping_sub(kx) < ow {
-                        u32::MAX
-                    } else {
-                        0
+        let dys = gs.chunks_exact(oc_n * oh * ow);
+        let out = match simd {
+            #[cfg(target_arch = "x86_64")]
+            Some(avx) => {
+                // Per 16-lane vector and `kx`, one bit per lane inside; with
+                // `P ≥ K-1` every tap of a real input position lands inside
+                // the output, so no lane needs the select.
+                let mut bits = Vec::new();
+                for v0 in (0..w2).step_by(16).filter(|_| p + 1 < k) {
+                    for kx in 0..k {
+                        bits.push(
+                            (0..16).fold(0u16, |m, l| m | u16::from(inside(v0 + l, kx)) << l),
+                        );
                     }
-                }));
+                }
+                let taps = avx.input_grad_taps(wts, [oc_n, c, k], [splane, srow]);
+                let zeros = vec![0.0; c];
+                let mut out = Vec::with_capacity(n * c * h * w);
+                for dy in dys {
+                    let src = dy_window(dy, in_place, [k, p, oh, ow], [splane, srow], ws);
+                    let (dims, window) = ([k, p, oh], [srow, origin]);
+                    avx.rows(src, &taps, &zeros, &bits, dims, window, [h, w], &mut out);
+                }
+                out
             }
-        }
-        // With `P ≥ K-1` every tap of a real input position lands inside
-        // the output, so no lane needs the select.
-        let kernel: InputGradFn = match (seg, p + 1 >= k) {
-            (8, false) => input_grad_rows::<8, true>,
-            (16, false) => input_grad_rows::<16, true>,
-            (_, false) => input_grad_rows::<SEG, true>,
-            (8, true) => input_grad_rows::<8, false>,
-            (16, true) => input_grad_rows::<16, false>,
-            (_, true) => input_grad_rows::<SEG, false>,
-        };
-        let mut sink = PlaneSink::new(n * c * h * w, w);
-        let dy_len = oc_n * oh * ow;
-        for dy in gs.chunks_exact(dy_len) {
-            let src: &[f32] = if in_place {
-                dy
-            } else {
-                // dy (oy, ox) sits at window (oy + K-1-P, ox + K-1-P);
-                // rows and columns that fall outside the window are never
-                // read for a real input position.
-                let shift = (k - 1) as isize - p as isize;
-                let cols = ow.min((srow as isize - shift) as usize);
-                let (ox0, dst_col) = if shift < 0 {
-                    ((-shift) as usize, 0)
-                } else {
-                    (0, shift as usize)
-                };
-                for (oc, plane) in dy.chunks_exact(oh * ow).enumerate() {
-                    for (oy, grow) in plane.chunks_exact(ow).enumerate() {
-                        let r = oy as isize + shift;
-                        if r < 0 || r as usize >= splane / srow {
-                            continue;
+            _ => {
+                // Per input channel, its taps in `(oc, ky, kx)` order as
+                // (window offset, weight, ky, kx).
+                let mut taps = Vec::with_capacity(c * oc_n * k * k);
+                for ic in 0..c {
+                    for oc in 0..oc_n {
+                        for (t, &wv) in wts[(oc * c + ic) * k * k..][..k * k].iter().enumerate() {
+                            let (ky, kx) = (t / k, t % k);
+                            let off = oc * splane + (k - 1 - ky) * srow + (k - 1 - kx);
+                            taps.push((off, wv, ky, kx));
                         }
-                        let run = &grow[ox0..cols.max(ox0)];
-                        ws[oc * splane + r as usize * srow + dst_col..][..run.len()]
-                            .copy_from_slice(run);
                     }
                 }
-                ws
-            };
-            kernel(
-                src,
-                &taps,
-                &masks,
-                [k, p, oh, oc_n],
-                [srow, origin],
-                [h, w],
-                &mut sink,
-            );
-        }
-        Tensor::from_vec(&[n, c, h, w], sink.out)
+                // Per segment and `kx`, all-ones lanes inside, zero outside.
+                let mut masks = Vec::with_capacity(w2 * k);
+                for x0 in (0..w).step_by(seg) {
+                    for kx in 0..k {
+                        masks.extend((x0..x0 + seg).map(|x| u32::MAX * u32::from(inside(x, kx))));
+                    }
+                }
+                // With `P ≥ K-1` every tap of a real input position lands
+                // inside the output, so no lane needs the select.
+                let kernel: InputGradFn = match (seg, p + 1 >= k) {
+                    (8, false) => input_grad_rows::<8, true>,
+                    (16, false) => input_grad_rows::<16, true>,
+                    (_, false) => input_grad_rows::<SEG, true>,
+                    (8, true) => input_grad_rows::<8, false>,
+                    (16, true) => input_grad_rows::<16, false>,
+                    (_, true) => input_grad_rows::<SEG, false>,
+                };
+                let mut sink = PlaneSink::new(n * c * h * w, w);
+                for dy in dys {
+                    let src = dy_window(dy, in_place, [k, p, oh, ow], [splane, srow], ws);
+                    let (dims, window) = ([k, p, oh, oc_n], [srow, origin]);
+                    kernel(src, &taps, &masks, dims, window, [h, w], &mut sink);
+                }
+                sink.out
+            }
+        };
+        Tensor::from_vec(&[n, c, h, w], out)
     }
 
     /// The backward shared by [`Layer::backward`] and
@@ -667,12 +740,12 @@ impl Conv2d {
                 let dy = self.param_grads_gemm(grad_out, col, *n, *h, *w);
                 input_grad.then(|| self.input_grad_gemm(&dy, *n, *h, *w))
             }
-            ConvCache::Padded { xt, n, h, w } => {
+            ConvCache::Padded { xt, start, n, h, w } => {
                 assert_eq!(gn, *n);
                 let dims = [*n, *h, *w];
                 let gs = grad_out.as_slice();
                 let mut ws = DY_BLOCK.take();
-                self.param_grads_direct(gs, xt, dims, &mut ws);
+                self.param_grads_direct(gs, &xt[*start..], dims, &mut ws);
                 let grad_in = input_grad.then(|| self.input_grad_direct(gs, dims, &mut ws));
                 DY_BLOCK.set(ws);
                 grad_in
@@ -779,6 +852,59 @@ pub(crate) fn pad_input(x: &Tensor, n: usize, c: usize, h: usize, w: usize, p: u
     let mut out = vec![0.0f32; n * c * ph * pw];
     pad_planes(x.as_slice(), [h, w], p, [ph, pw], &mut out);
     out
+}
+
+/// The `dy` window of one image for the direct input gradient (see
+/// [`Conv2d::input_grad_direct`]): `dy` itself when `in_place`, else `dy`
+/// copied into the zero-bordered window `ws` (plane stride `splane`, row
+/// stride `srow`), where dy `(oy, ox)` sits at `(oy + K-1-P, ox + K-1-P)`;
+/// rows and columns that fall outside the window are never read for a
+/// real input position.
+fn dy_window<'a>(
+    dy: &'a [f32],
+    in_place: bool,
+    [k, p, oh, ow]: [usize; 4],
+    [splane, srow]: [usize; 2],
+    ws: &'a mut [f32],
+) -> &'a [f32] {
+    if in_place {
+        return dy;
+    }
+    let shift = (k - 1) as isize - p as isize;
+    let cols = ow.min((srow as isize - shift) as usize);
+    let (ox0, dst_col) = if shift < 0 {
+        ((-shift) as usize, 0)
+    } else {
+        (0, shift as usize)
+    };
+    for (oc, plane) in dy.chunks_exact(oh * ow).enumerate() {
+        for (oy, grow) in plane.chunks_exact(ow).enumerate() {
+            let r = oy as isize + shift;
+            if r < 0 || r as usize >= splane / srow {
+                continue;
+            }
+            let run = &grow[ox0..cols.max(ox0)];
+            ws[oc * splane + r as usize * srow + dst_col..][..run.len()].copy_from_slice(run);
+        }
+    }
+    ws
+}
+
+/// One image's padded planes for the direct forward: the image itself
+/// when `in_place`, else `x` padded into `xpad` ([`pad_planes`]).
+fn padded<'a>(
+    x: &'a [f32],
+    in_place: bool,
+    hw: [usize; 2],
+    p: usize,
+    phw: [usize; 2],
+    xpad: &'a mut [f32],
+) -> &'a [f32] {
+    if in_place {
+        return x;
+    }
+    pad_planes(x, hw, p, phw, xpad);
+    xpad
 }
 
 /// Copies the `H × W` planes of `src` into the interiors of the `ph × pw ≥
@@ -1026,47 +1152,66 @@ fn weight_grad_block<const W: usize>(
 /// allocation (the previous step's cache) when it is large enough.
 fn image_minor(
     x: &Tensor,
-    n: usize,
-    c: usize,
-    h: usize,
-    w: usize,
+    [n, c, h, w]: [usize; 4],
     p: usize,
     mut xt: Vec<f32>,
-) -> Vec<f32> {
+    simd: Simd,
+) -> (Vec<f32>, usize) {
     let (ph, pw) = (h + 2 * p, w + 2 * p);
     let plane = c * ph * pw;
     let slots: usize = (0..n).step_by(LANES).map(|b0| block_width(n - b0)).sum();
-    xt.clear();
-    xt.resize(slots * plane, 0.0);
+    // Without padding, the rows below cover every value.
+    let start = lane_buffer(&mut xt, slots * plane, p > 0);
+    let lanes = &mut xt[start..];
     for b0 in (0..n).step_by(LANES) {
         let width = block_width(n - b0);
-        let block = &mut xt[b0 * plane..][..width * plane];
+        let block = &mut lanes[b0 * plane..][..width * plane];
         for ic in 0..c {
             for y in 0..h {
                 let dst = ((ic * ph + y + p) * pw + p) * width;
                 let src = (ic * h + y) * w;
                 let row = &mut block[dst..][..w * width];
-                to_lanes(x.as_slice(), c * h * w, src, n, b0, width, row);
+                to_lanes(x.as_slice(), c * h * w, src, [n, b0, width], row, simd);
             }
         }
     }
-    xt
+    (xt, start)
+}
+
+/// Makes room in `v` for `len` values from a 64-byte boundary, returned
+/// as the index of the first: one cache line per 16-lane vector, so the
+/// lane kernels' loads never straddle two. With `zeroed` the values are
+/// zero; otherwise they are left as they were, for a caller that writes
+/// every one.
+fn lane_buffer(v: &mut Vec<f32>, len: usize, zeroed: bool) -> usize {
+    if zeroed {
+        v.clear();
+    }
+    v.resize(v.len().max(len + LANES - 1), 0.0);
+    v.as_ptr().align_offset(64).min(LANES - 1)
 }
 
 /// Fills `dst` with images `b0 .. b0 + width` of `src` (`N` images of
 /// `stride` values), image-minor: `dst[i·width + l] = src[(b0 + l)·stride +
 /// off + i]`, with the lanes past image `n` zero. Works in tiles of 64
 /// positions, so the source runs and the destination tile stay in L1
-/// (measured 1.5× faster than a strided gather per position).
+/// (measured 1.5× faster than a strided gather per position); a full
+/// block under the AVX-512 kernels goes through register transposes.
 fn to_lanes(
     src: &[f32],
     stride: usize,
     off: usize,
-    n: usize,
-    b0: usize,
-    width: usize,
+    [n, b0, width]: [usize; 3],
     dst: &mut [f32],
+    simd: Simd,
 ) {
+    match simd {
+        #[cfg(target_arch = "x86_64")]
+        Some(avx) if width == LANES => {
+            return avx.to_lanes(src, [stride, off], [b0, width.min(n - b0)], dst);
+        }
+        _ => {}
+    }
     if width == 1 {
         // One lane: the layout is the source's own.
         dst.copy_from_slice(&src[b0 * stride + off..][..dst.len()]);

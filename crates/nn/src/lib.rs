@@ -31,8 +31,9 @@
 //! let _accuracy = evaluate_accuracy(&mut model, &test, 32);
 //! ```
 
-// Unsafe is denied crate-wide and allowed back in exactly one place: the
-// SIMD microkernels in `gemm`, where every unsafe token carries a
+// Unsafe is denied crate-wide and allowed back only in the SIMD kernel
+// modules (`gemm`, `quant` and the direct convolution's
+// `layers::conv::avx512`), where every unsafe token carries a
 // `// SAFETY:` contract and the analyzer's R3 inventory pins the exact
 // count per module (`analyze-policy.toml`).
 #![deny(unsafe_code)]

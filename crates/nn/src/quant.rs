@@ -37,7 +37,7 @@
 //! layers run int8, everything else (ReLU, pooling, flatten, residual
 //! wrappers) passes through the original f32 implementation.
 
-// The one other crate module with `unsafe` (see `lib.rs`): the AVX2
+// One of the crate modules with `unsafe` (see `lib.rs`): the AVX2
 // int8 microkernel and its dispatch call.
 #![allow(unsafe_code)]
 

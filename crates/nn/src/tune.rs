@@ -29,7 +29,8 @@
 //! raw samples for reporting. It exists for two measured defects: conv1's
 //! `Auto` route losing to direct loops (the stream path plus measured
 //! thresholds), and negative GEMM thread scaling (the shared packed-B
-//! parallel driver, whose profitability threshold is tuned here).
+//! parallel driver, behind the measured fan-out floor
+//! [`Tuning::parallel_macs`]).
 
 use crate::exec::{self, Exec};
 use crate::gemm;
@@ -52,7 +53,13 @@ pub struct Tuning {
     /// Largest `m` routed to the stream path (packed `A`, in-place `B`).
     /// `0` disables the stream path entirely.
     pub stream_max_rows: usize,
-    /// Minimum `m·k·n` before a GEMM fans out over threads.
+    /// Minimum `m·k·n` before a GEMM fans out over threads. A fan-out
+    /// spawns its workers per call and packs all of `B` for them to
+    /// share, so it pays only for large products: on a 2-vCPU x86-64
+    /// host, every product the bundled models run (≤ 9.4M MACs at batch
+    /// 32) was 1.2–1.5× slower on two threads and batch-1 products 3–4×,
+    /// while square products gained from ~11M MACs (0.70× at 134M). The
+    /// default, 2^24, keeps the models' products on one thread.
     pub parallel_macs: usize,
     /// `Conv2d` `Auto` lowers to GEMM only when `out_channels` is at
     /// least this.
@@ -69,7 +76,7 @@ impl Default for Tuning {
             mc: 64,
             nc: 256,
             stream_max_rows: 8,
-            parallel_macs: 1 << 17,
+            parallel_macs: 1 << 24,
             conv_gemm_min_oc: 12,
             conv_gemm_min_ckk: 32,
             conv_gemm_min_macs: 1 << 18,
