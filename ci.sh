@@ -97,11 +97,6 @@ for p in json.load(sys.stdin)["packages"]:
 
 gate_test() {
   cargo test --workspace -q
-  # The `reference` feature pins every convolution to the direct kernels;
-  # the default build runs the channel-rich layers on GEMM instead.
-  cargo test -q -p mvml-nn --features reference
-  # The trained weights of the reference build have their own pinned hash.
-  cargo test -q --features mvml-nn/reference --test trained_weights_pinned
 }
 
 gate_analyze() {

@@ -549,22 +549,23 @@ mod tests {
     fn allow_list_entries_matching_no_scanned_module_are_stale() {
         let policy = crate::policy::parse(
             "[rules.determinism]\n\
-             wall_clock_allowed_modules = [\"obs\", \"bench::summary\", \"nn::tune\"]\n\
+             wall_clock_allowed_modules = [\"obs\", \"bench::summary\", \"serve::loadgen\"]\n\
              [rules.telemetry_purity]\n\
              allowed_modules = [\"obs\", \"serve::shard\"]\n",
         )
         .expect("allow-list policy parses");
-        let scanned: BTreeSet<String> = ["obs::recorder", "bench::calibrate", "nn::tune::tests"]
-            .into_iter()
-            .map(String::from)
-            .collect();
+        let scanned: BTreeSet<String> =
+            ["obs::recorder", "bench::calibrate", "serve::loadgen::tests"]
+                .into_iter()
+                .map(String::from)
+                .collect();
         let stale = stale_allow_list_findings(&policy, &scanned, "policy.toml");
         let got: Vec<(&str, &str)> = stale
             .iter()
             .map(|f| (f.rule.as_str(), f.module.as_str()))
             .collect();
         // `bench::summary` shares a crate but not a module with
-        // `bench::calibrate`; a scanned submodule keeps `nn::tune` live.
+        // `bench::calibrate`; a scanned submodule keeps `serve::loadgen` live.
         assert_eq!(
             got,
             [

@@ -302,24 +302,6 @@ pub fn expected_system_reliability_with_info(
     params: &SystemParams,
     opts: &SolveOptions,
 ) -> Result<(f64, SolutionInfo), PetriError> {
-    expected_system_reliability_traced(n, proactive, params, opts, &Recorder::disabled())
-}
-
-/// [`expected_system_reliability_with_info`] with solver telemetry: the
-/// underlying steady-state solve emits one `SolverRun` event (backend,
-/// tangible states, residual; wall time in the record's `timing` field).
-/// The computed reliability is independent of the recorder.
-///
-/// # Errors
-///
-/// Propagates parameter validation and solver errors.
-pub fn expected_system_reliability_traced(
-    n: u32,
-    proactive: bool,
-    params: &SystemParams,
-    opts: &SolveOptions,
-    recorder: &Recorder,
-) -> Result<(f64, SolutionInfo), PetriError> {
     check_n(n)?;
     params
         .validate()
@@ -338,7 +320,7 @@ pub fn expected_system_reliability_traced(
         mv.net
     };
     let (pmh, pmc) = (mv.pmh, mv.pmc);
-    let solution = solve_steady(&solvable, &opts.method, &opts.solver, recorder)?;
+    let solution = solve_steady(&solvable, &opts.method, &opts.solver, &Recorder::disabled())?;
     // A state's reliability depends on its healthy and compromised counts
     // alone, so it is tabulated once per pair instead of once per marking.
     let model = StateReliability::new(params);

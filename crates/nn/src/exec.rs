@@ -6,8 +6,7 @@
 //! 1. an active [`scoped`] override (tests and the bench bins; production
 //!    code never installs one),
 //! 2. the environment, read once per process: `MVML_THREADS` (a positive
-//!    integer; `0` or garbage is ignored) and `MVML_TUNE` (a tuning file,
-//!    see [`crate::tune`]; an unreadable or malformed file panics),
+//!    integer; `0` or garbage is ignored),
 //! 3. host and built-in defaults: the machine's available parallelism, the
 //!    best kernel in [`available_kernels`], and [`Tuning::default`].
 //!
@@ -19,16 +18,70 @@
 //! therefore fans out only over that job's slice of the cores, and nested
 //! fan-outs never ask for more threads than the outermost budget.
 //!
-//! None of the three fields changes a computed value — the GEMM and every
-//! parallel loop are bitwise-identical across thread counts, kernels and
-//! tunings — so the context is a pure performance knob. Reads are
-//! lock-free while no scope is active.
+//! Thread count and kernel never change a computed value — the GEMM and
+//! every parallel loop are bitwise-identical across both — and neither do
+//! the GEMM fields of [`Tuning`]. Its three `conv_gemm_min_*` fields do:
+//! they route convolutions between two summation orders (see [`Tuning`]).
+//! Reads are lock-free while no scope is active.
 
 use crate::gemm::{available_kernels, Kernel};
-use crate::tune::Tuning;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+
+/// The GEMM blocking and the [`crate::layers::Conv2d`] `Auto` route.
+///
+/// The process default is [`Tuning::default`]; only a [`scoped`] override
+/// installs another (tests force tiny blocks, the packed path or an
+/// all-GEMM route with it).
+///
+/// `mc`, `nc`, `stream_max_rows` and `parallel_macs` never change a
+/// computed value: the per-element accumulation order is pinned by the
+/// fixed `KC` constant and the KC-blocked loop order in [`crate::gemm`]
+/// (see its determinism note). The three `conv_gemm_min_*` fields do: they
+/// choose between the GEMM and the direct loops, which sum each output in
+/// different orders, so moving a threshold across a layer's shape trains
+/// different weights. Route changes are source changes, with the pinned
+/// weight hashes re-pinned.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Tuning {
+    /// Rows of packed `A` per cache block (`MC`).
+    pub mc: usize,
+    /// Columns of packed `B` per cache block (`NC`).
+    pub nc: usize,
+    /// Largest `m` routed to the stream path (packed `A`, in-place `B`).
+    /// `0` disables the stream path entirely.
+    pub stream_max_rows: usize,
+    /// Minimum `m·k·n` before a GEMM fans out over threads. A fan-out
+    /// spawns its workers per call and packs all of `B` for them to
+    /// share, so it pays only for large products: on a 2-vCPU x86-64
+    /// host, every product the bundled models run (≤ 9.4M MACs at batch
+    /// 32) was 1.2–1.5× slower on two threads and batch-1 products 3–4×,
+    /// while square products gained from ~11M MACs (0.70× at 134M). The
+    /// default, 2^24, keeps the models' products on one thread.
+    pub parallel_macs: usize,
+    /// `Conv2d` `Auto` lowers to GEMM only when `out_channels` is at
+    /// least this.
+    pub conv_gemm_min_oc: usize,
+    /// ... and the im2col row count `C·K·K` is at least this.
+    pub conv_gemm_min_ckk: usize,
+    /// ... and the total MACs `OC·CKK·cols` are at least this.
+    pub conv_gemm_min_macs: usize,
+}
+
+impl Default for Tuning {
+    fn default() -> Self {
+        Tuning {
+            mc: 64,
+            nc: 256,
+            stream_max_rows: 8,
+            parallel_macs: 1 << 24,
+            conv_gemm_min_oc: 12,
+            conv_gemm_min_ckk: 32,
+            conv_gemm_min_macs: 1 << 18,
+        }
+    }
+}
 
 /// How compute kernels execute: fan-out width, microkernel, and tuning.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -63,12 +116,6 @@ thread_local! {
 /// The context compute kernels run under: the innermost [`scoped`]
 /// override, else the process default, with `threads` capped at this
 /// thread's worker share inside a pool job (see the module docs).
-///
-/// # Panics
-///
-/// Panics on first resolution if `MVML_TUNE` names an unreadable or
-/// malformed file — a misconfigured perf knob should fail loudly, not
-/// silently run untuned.
 pub fn current() -> Exec {
     let mut exec = resolved();
     if let Some(share) = SHARE.with(Cell::get) {
@@ -114,7 +161,7 @@ fn process_default() -> Exec {
         threads: threads_from_env()
             .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get())),
         kernel: *available_kernels().last().unwrap_or(&Kernel::Scalar),
-        tuning: tuning_from_env(),
+        tuning: Tuning::default(),
     })
 }
 
@@ -128,18 +175,6 @@ fn threads_from_env() -> Option<usize> {
 
 fn parse_threads(raw: &str) -> Option<usize> {
     raw.trim().parse::<usize>().ok().filter(|&n| n > 0)
-}
-
-fn tuning_from_env() -> Tuning {
-    match std::env::var("MVML_TUNE") {
-        Ok(path) => {
-            let text = std::fs::read_to_string(&path)
-                .unwrap_or_else(|e| panic!("MVML_TUNE={path}: cannot read: {e}"));
-            Tuning::parse_config(&text)
-                .unwrap_or_else(|e| panic!("MVML_TUNE={path}: parse error: {e}"))
-        }
-        Err(_) => Tuning::default(),
-    }
 }
 
 /// Restores the enclosing override (and releases the guard if this is the

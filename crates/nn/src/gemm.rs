@@ -23,7 +23,7 @@
 //!   over threads against it — workers never re-pack each other's panels,
 //!   which is what restores 1→2 thread scaling on panel-bound shapes.
 //! - **Stream path** (small `m`, row-major `B`): with at most
-//!   [`crate::tune::Tuning::stream_max_rows`] output rows, every packed
+//!   [`crate::exec::Tuning::stream_max_rows`] output rows, every packed
 //!   `B` panel would be used once — pure overhead. The microkernel instead
 //!   reads `B` directly at row stride `n`, and threads fan out over
 //!   *column ranges* of `C`. This is the shape class of inference-time
@@ -54,7 +54,7 @@
 //! `Neon` produce bitwise-identical results and committed artifacts stay
 //! valid on any host. For the same reason `KC` is a fixed constant —
 //! resizing it would regroup the per-element accumulation — while `MC`/`NC`
-//! and the path/parallel thresholds are tunable ([`crate::tune`]): they
+//! and the path/parallel thresholds are fields of [`Tuning`]: they
 //! only move work between cache blocks and threads, never reorder a dot
 //! product. The register tile's shape does not enter the order either:
 //! each tile element starts at zero, sums its `KC` block `k` ascending, and
@@ -64,8 +64,7 @@
 // `std::arch` microkernels and the disjoint-column-stripe writes below.
 #![allow(unsafe_code)]
 
-use crate::exec;
-use crate::tune::Tuning;
+use crate::exec::{self, Tuning};
 
 /// Rows per register tile.
 pub(crate) const MR: usize = 8;
@@ -1003,8 +1002,7 @@ mod neon {
 #[allow(clippy::float_cmp)]
 mod tests {
     use super::*;
-    use crate::exec::{current, scoped, Exec};
-    use crate::tune::Tuning;
+    use crate::exec::{current, scoped, Exec, Tuning};
 
     /// Reference triple loop, k ascending — the accumulation order the
     /// blocked kernel must reproduce exactly for k ≤ KC.

@@ -12,8 +12,7 @@
 //! - **Direct path** (default for few output channels or a shallow
 //!   reduction): loops over a zero-padded input. It is the production
 //!   training kernel for every detector layer and for the `lenet`/`alexnet`
-//!   stems, and what the `reference` cargo feature or
-//!   [`Conv2d::set_kernel_path`] force everywhere. Three kernels:
+//!   stems, and what [`Conv2d::set_kernel_path`] forces. Three kernels:
 //!   - the forward ([`forward_rows`]) and the input gradient
 //!     ([`input_grad_rows`]) keep a block of `ROWS` output rows × a segment
 //!     of up to `SEG` lanes in registers while they walk every tap, so each
@@ -59,6 +58,9 @@
 //! Both paths produce gradients verified against numerical differentiation;
 //! forward outputs agree to float tolerance (the two paths sum products in
 //! different orders, so results are not bitwise identical between paths).
+//! Which path a layer takes is therefore part of its trained bits: the
+//! `Auto` route thresholds ([`crate::exec::Tuning`]) change only in source,
+//! together with the pinned weight hashes.
 
 use crate::gemm;
 use crate::init::he_normal;
@@ -70,12 +72,11 @@ use rand::rngs::StdRng;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum KernelPath {
     /// Pick per shape: GEMM when the lowered matrix is chunky in every
-    /// dimension per the host tuning thresholds
-    /// ([`crate::tune::Tuning::conv_gemm_min_oc`] /
-    /// [`crate::tune::Tuning::conv_gemm_min_ckk`] /
-    /// [`crate::tune::Tuning::conv_gemm_min_macs`]), direct loops
-    /// otherwise (the `reference` cargo feature forces the direct path
-    /// everywhere).
+    /// dimension per the context's route thresholds
+    /// ([`crate::exec::Tuning::conv_gemm_min_oc`] /
+    /// [`crate::exec::Tuning::conv_gemm_min_ckk`] /
+    /// [`crate::exec::Tuning::conv_gemm_min_macs`]), direct loops
+    /// otherwise.
     #[default]
     Auto,
     /// Always lower to im2col + GEMM.
@@ -289,8 +290,7 @@ impl Conv2d {
             KernelPath::Direct => false,
             KernelPath::Auto => {
                 let t = crate::exec::current().tuning;
-                !cfg!(feature = "reference")
-                    && self.out_channels >= t.conv_gemm_min_oc
+                self.out_channels >= t.conv_gemm_min_oc
                     && ckk >= t.conv_gemm_min_ckk
                     && self.out_channels * ckk * cols >= t.conv_gemm_min_macs
             }
@@ -1731,12 +1731,12 @@ mod tests {
 
     #[test]
     fn auto_path_crosses_threshold() {
-        // Pin thresholds so the assertions hold on any host tuning.
-        let tuning = crate::tune::Tuning {
+        // Pin thresholds so the assertions survive a change of defaults.
+        let tuning = crate::exec::Tuning {
             conv_gemm_min_oc: 12,
             conv_gemm_min_ckk: 32,
             conv_gemm_min_macs: 1 << 18,
-            ..crate::tune::Tuning::default()
+            ..crate::exec::Tuning::default()
         };
         let base = crate::exec::current();
         crate::exec::scoped(crate::exec::Exec { tuning, ..base }, || {
@@ -1750,9 +1750,8 @@ mod tests {
             // Channel-rich and deep but tiny total work: direct.
             let conv = Conv2d::new(6, 16, 3, 0, &mut rng);
             assert!(!conv.use_gemm(54, 100));
-            // Channel-rich, deep, batch-sized columns: GEMM (unless the
-            // reference feature pins the direct path).
-            assert_eq!(conv.use_gemm(54, 32 * 100), !cfg!(feature = "reference"));
+            // Channel-rich, deep, batch-sized columns: GEMM.
+            assert!(conv.use_gemm(54, 32 * 100));
         });
     }
 

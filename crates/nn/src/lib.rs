@@ -62,7 +62,6 @@ pub mod quant;
 pub mod signs;
 pub mod tensor;
 pub mod train;
-pub mod tune;
 
 pub use data::Dataset;
 pub use layer::{Layer, Param};

@@ -4,12 +4,11 @@
 //! references, and the layers' GEMM paths against the direct-loop
 //! reference kernels.
 
-use mvml_nn::exec::{current, scoped, Exec};
+use mvml_nn::exec::{current, scoped, Exec, Tuning};
 use mvml_nn::gemm::{available_kernels, gemm, gemm_nt, gemm_nt_acc, gemm_tn, gemm_tn_acc, Kernel};
 use mvml_nn::layer::Layer;
 use mvml_nn::layers::{Conv2d, Dense, KernelPath};
 use mvml_nn::quant::{dequantize, gemm_i8, quantize, requant_i8, symmetric_scale};
-use mvml_nn::tune::Tuning;
 use mvml_nn::Tensor;
 use proptest::prelude::*;
 use rand::rngs::StdRng;

@@ -1,9 +1,11 @@
 //! Per-shape convolution timing, in two tables:
 //!
 //! 1. direct vs GEMM inference forwards (detector shapes, LeNet-style
-//!    training shapes). The `KernelPath::Auto` thresholds in
-//!    `mvml_nn::layers::Conv2d` were measured with this table — re-run it
-//!    when retuning them for a new host.
+//!    training shapes). The `KernelPath::Auto` route thresholds
+//!    (`mvml_nn::exec::Tuning`'s `conv_gemm_min_*`) were measured with
+//!    this table. The two paths sum in different orders, so the thresholds
+//!    change only in source, with the pinned weight hashes re-pinned;
+//!    re-run this table to justify such a change.
 //! 2. The shapes `Auto` trains on the direct path: the three yolomini
 //!    detector layers at batch 16 and the lenet/alexnet stems at batch 32,
 //!    under every GEMM/direct kernel this host offers (`Scalar`, `Sse` and

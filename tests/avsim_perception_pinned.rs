@@ -17,8 +17,7 @@ use resilient_perception::avsim::{DetectorBank, MultiVersionPerception, Percepti
 use resilient_perception::faultinject::{CorruptionMode, RuntimeFault, RuntimeFaultPlan};
 use resilient_perception::mvml::rejuvenation::ProcessConfig;
 use resilient_perception::mvml::SystemParams;
-use resilient_perception::nn::exec::{current, scoped, Exec};
-use resilient_perception::nn::tune::Tuning;
+use resilient_perception::nn::exec::{current, scoped, Exec, Tuning};
 
 /// The pinned hash of [`run`].
 const PINNED: u64 = 0xe27f_f394_e85f_c02e;
@@ -132,8 +131,9 @@ fn run(bank: &DetectorBank) -> u64 {
 
 #[test]
 fn faulted_perception_is_pinned_for_any_thread_count() {
-    // The built-in tuning: a host tuning file could route a convolution to
-    // a kernel that sums in another order.
+    // The built-in tuning, held in a scope: scopes are process-wide and
+    // serialized, so no other test's scope can route a convolution to a
+    // kernel that sums in another order while this one trains and runs.
     let base = Exec {
         tuning: Tuning::default(),
         ..current()

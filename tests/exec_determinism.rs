@@ -2,13 +2,15 @@
 //! GEMM give bit-identical output under every execution context — any
 //! thread count, any microkernel this host supports, any cache-block
 //! tuning — and inside a pool job, whose thread budget is a worker share.
+//! The conv route thresholds are the exception: they choose between two
+//! summation orders, so a forward pass is bit-identical across contexts
+//! that share its route and differs between routes.
 
-use resilient_perception::nn::exec::{current, scoped, Exec};
+use resilient_perception::nn::exec::{current, scoped, Exec, Tuning};
 use resilient_perception::nn::gemm::{available_kernels, gemm};
 use resilient_perception::nn::layer::Layer;
 use resilient_perception::nn::models::lenet_mini;
 use resilient_perception::nn::parallel::ThreadPool;
-use resilient_perception::nn::tune::Tuning;
 use resilient_perception::nn::Tensor;
 
 /// Every combination of threads {1, 2, 4} × available kernels ×
@@ -61,10 +63,45 @@ fn lenet_forward_is_bit_identical_in_every_context() {
     let (batch, size) = (4, 16);
     let x = Tensor::from_vec(&[batch, 1, size, size], fill(batch * size * size, 7));
     let mut model = lenet_mini(size, 5, 3);
+    // The GEMM adds a convolution's bias last and the direct loops first,
+    // so the routes agree bit for bit only while every bias is zero, as a
+    // fresh model's are; a nonzero bias makes a route change visible.
+    for p in model.all_params() {
+        if p.name == "bias" {
+            p.values.fill(0.3);
+        }
+    }
     let mut forward = |exec| scoped(exec, || bits(model.forward(&x, false).as_slice()));
-    let reference = forward(current());
+    // One reference per route, each taken in an explicit scope: outside
+    // one, `current()` may return another test's process-wide scope.
+    let base = Exec {
+        threads: 1,
+        kernel: available_kernels()[0],
+        tuning: Tuning::default(),
+    };
+    let all_gemm = Tuning {
+        conv_gemm_min_oc: 0,
+        conv_gemm_min_ckk: 0,
+        conv_gemm_min_macs: 0,
+        ..Tuning::default()
+    };
+    let default_route = forward(base);
+    let gemm_route = forward(Exec {
+        tuning: all_gemm,
+        ..base
+    });
+    assert_ne!(
+        default_route, gemm_route,
+        "the routes sum in the same order"
+    );
     for exec in contexts() {
-        assert_eq!(forward(exec), reference, "{exec:?}");
+        // Only the tiny tuning of `contexts` routes through the GEMM.
+        let reference = if exec.tuning == Tuning::default() {
+            &default_route
+        } else {
+            &gemm_route
+        };
+        assert_eq!(&forward(exec), reference, "{exec:?}");
     }
 }
 

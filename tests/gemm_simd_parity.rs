@@ -5,12 +5,11 @@
 //! the layers' reused GEMM workspaces carry a previous call's contents
 //! into each forward.
 
-use resilient_perception::nn::exec::{current, scoped, Exec};
+use resilient_perception::nn::exec::{current, scoped, Exec, Tuning};
 use resilient_perception::nn::gemm::{available_kernels, Kernel};
 use resilient_perception::nn::layer::Layer;
 use resilient_perception::nn::models::three_versions;
 use resilient_perception::nn::train::{train_classifier, TrainConfig};
-use resilient_perception::nn::tune::Tuning;
 use resilient_perception::nn::{Dataset, Tensor};
 
 const SIZE: usize = 32;

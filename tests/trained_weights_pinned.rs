@@ -7,14 +7,10 @@
 
 use mvml_serve::tenant::build_system;
 use mvml_serve::{ModelSpec, TenantConfig};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use resilient_perception::avsim::detector::DetectorTrainConfig;
 use resilient_perception::avsim::DetectorBank;
-use resilient_perception::nn::exec::{current, scoped, Exec};
-use resilient_perception::nn::layers::{Conv2d, KernelPath};
-use resilient_perception::nn::tune::Tuning;
-use resilient_perception::nn::{Layer, Sequential, Tensor};
+use resilient_perception::nn::exec::{current, scoped, Exec, Tuning};
+use resilient_perception::nn::Sequential;
 
 /// FNV-1a (64-bit) over the little-endian bytes of every parameter value,
 /// model by model, layer by layer, parameter by parameter.
@@ -33,10 +29,12 @@ fn fnv1a<'a>(models: impl IntoIterator<Item = &'a mut Sequential>) -> u64 {
     h
 }
 
-/// Runs `f` under the built-in tuning: the conv router's thresholds pick
-/// between two kernels that sum in different orders, so a host tuning file
-/// (`MVML_TUNE`) could move the hashes. Thread count and microkernel do
-/// not change any value and stay as resolved.
+/// Runs `f` inside a scope of the built-in tuning. Scopes are
+/// process-wide and serialized, so holding one keeps any other test's
+/// scope (tiny blocks, an all-GEMM conv route) from reaching this training
+/// run; the route thresholds pick between two kernels that sum in
+/// different orders. Thread count and microkernel change no value and
+/// stay as resolved.
 fn default_tuning<R>(f: impl FnOnce() -> R) -> R {
     scoped(
         Exec {
@@ -47,30 +45,9 @@ fn default_tuning<R>(f: impl FnOnce() -> R) -> R {
     )
 }
 
-/// Whether `Auto` lowers a channel-rich convolution to GEMM, as the
-/// default build does. The `mvml-nn/reference` feature pins it to the
-/// direct loops instead, which sum in another order and so train other
-/// weights wherever a model has a GEMM-sized layer.
-fn auto_lowers_to_gemm() -> bool {
-    let mut auto = Conv2d::new(16, 16, 3, 1, &mut StdRng::seed_from_u64(0));
-    // GEMM adds the bias last and the direct loops first: with a zero bias
-    // the two would agree bit for bit.
-    auto.params()[1].values.fill(0.3);
-    let mut gemm = auto.clone();
-    gemm.set_kernel_path(KernelPath::Gemm);
-    let x = Tensor::from_vec(
-        &[8, 16, 12, 12],
-        (0..8 * 16 * 144)
-            .map(|i| (i % 13) as f32 / 13.0 - 0.5)
-            .collect(),
-    );
-    let bits = |y: Tensor| y.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-    default_tuning(|| bits(auto.forward(&x, false)) == bits(gemm.forward(&x, false)))
-}
-
 #[test]
 fn detector_bank_weights_are_pinned() {
-    // Every detector layer trains on the direct path in any build.
+    // Every detector layer trains on the direct path.
     let cfg = DetectorTrainConfig {
         scenes: 160,
         epochs: 2,
@@ -102,11 +79,10 @@ fn trained_tenant_weights_are_pinned() {
     let mut models: Vec<Sequential> = (0..system.version_count())
         .map(|i| system.module_mut(i).model_mut().clone())
         .collect();
-    // The classifiers' channel-rich layers train on GEMM by default.
-    let pinned = if auto_lowers_to_gemm() {
-        0x4b48_90c1_6204_f240
-    } else {
-        0x5866_4f7b_1298_ecbc
-    };
-    assert_eq!(fnv1a(&mut models), pinned, "trained tenant weights changed");
+    // The classifiers' channel-rich layers train on GEMM.
+    assert_eq!(
+        fnv1a(&mut models),
+        0x4b48_90c1_6204_f240,
+        "trained tenant weights changed"
+    );
 }
