@@ -7,7 +7,9 @@
 # model, byte-stable across reruns and shard counts), the avsim artifact
 # gate (Tables VI/VII and the av_safety example regenerated and
 # byte-compared with results/), the Table V gate (its analytic + DES
-# stdout byte-compared with results/), and the
+# stdout byte-compared with results/), the health-process gate (the victim
+# ablation and the runtime campaign report regenerated and byte-compared
+# with results/), and the
 # perf-regression gate (A/B pairs of `bash benchmark/run.sh` against the
 # base commit, judged by the end-to-end bounds in BENCHMARK.json).
 #
@@ -18,7 +20,8 @@
 # Knobs:
 #   GATES="..."  run only the named gates (space- or comma-separated).
 #                Known names: fmt clippy docs test analyze benchmark campaign
-#                serve chaos avsim table5 perf tsan miri. Example: GATES="fmt,clippy,test".
+#                serve chaos avsim table5 health perf tsan miri.
+#                Example: GATES="fmt,clippy,test".
 #                Unset/empty = the full default lane (tsan/miri only when
 #                their knobs below ask for them).
 #   PERF_GATE=0  skip the perf-regression gate (it builds the benchmark at
@@ -43,7 +46,7 @@ cd "$(dirname "$0")"
 # Gate harness: run_gate times a gate_<name> function, prints the one-line
 # summary, and the EXIT trap names the gate when anything inside it fails.
 # ---------------------------------------------------------------------------
-KNOWN_GATES="fmt clippy docs test analyze benchmark campaign serve chaos avsim table5 perf tsan miri"
+KNOWN_GATES="fmt clippy docs test analyze benchmark campaign serve chaos avsim table5 health perf tsan miri"
 CURRENT_GATE=""
 GATE_T0=0
 # The perf gate's base-commit worktree, removed on exit.
@@ -287,6 +290,29 @@ gate_table5() {
   fi
 }
 
+gate_health() {
+  # Health-process artifact gate: the module-health process (the Fig. 2/3
+  # net played by core::rejuvenation::StateProcess) behind the victim
+  # ablation and the runtime campaign's DSPN cross-check is seeded, so
+  # `ext_ablations` (well under a second) and the full campaign report
+  # (`--no-telemetry`, a few seconds) are regenerated and byte-compared with
+  # results/. A change that moves the process fails here by name.
+  echo "== health: ext_ablations and CAMPAIGN_runtime.json vs results/ =="
+  cargo build -q --release -p mvml-bench --bin ext_ablations --bin campaign
+  local stale=0
+  target/release/ext_ablations >target/health-ext_ablations.txt
+  target/release/campaign --out target/health-CAMPAIGN_runtime.json --no-telemetry >/dev/null
+  if ! cmp -s results/ext_ablations.txt target/health-ext_ablations.txt; then
+    echo "results/ext_ablations.txt is stale: diff it against target/health-ext_ablations.txt" >&2
+    stale=1
+  fi
+  if ! cmp -s results/CAMPAIGN_runtime.json target/health-CAMPAIGN_runtime.json; then
+    echo "results/CAMPAIGN_runtime.json is stale: diff it against target/health-CAMPAIGN_runtime.json" >&2
+    stale=1
+  fi
+  return "$stale"
+}
+
 gate_perf() {
   # Perf-regression gate: A/B pairs of `bash benchmark/run.sh`, the
   # benchmark in BENCHMARK.json, run on this checkout and on its base
@@ -423,7 +449,7 @@ if [[ -n "${GATES:-}" ]]; then
     esac
   done
 else
-  SELECTED="fmt clippy docs test analyze benchmark campaign serve chaos avsim table5 perf"
+  SELECTED="fmt clippy docs test analyze benchmark campaign serve chaos avsim table5 health perf"
   [[ "${TSAN:-0}" == "1" ]] && SELECTED+=" tsan"
   [[ "${MIRI:-0}" == "1" ]] && SELECTED+=" miri"
 fi

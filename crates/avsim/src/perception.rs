@@ -6,9 +6,9 @@
 //! containment, the stale buffer, the sanitizer, watchdog escalation and
 //! the fault log live there. This module keeps only what is particular to
 //! detection: the per-module sensor noise, the fan-out of the forwards,
-//! MAC counting, decoding and the detection voter. Module health stays in
-//! the [`StateProcess`], which escalation reaches through
-//! [`StateProcess::report_failure`].
+//! MAC counting, decoding and the detection voter. Module health is the
+//! paper's Fig. 2/3 net played by the [`StateProcess`], which escalation
+//! reaches through [`StateProcess::report_failure`].
 
 use crate::bev::{add_sensor_noise, CELLS};
 use crate::detector::{
@@ -471,6 +471,7 @@ mod tests {
     use crate::bev::{cell_index, rasterize};
     use crate::geometry::Vec2;
     use crate::world::ObjectTruth;
+    use mvml_core::rejuvenation::VictimRule;
     use mvml_core::SystemParams;
 
     fn set(cells: &[u16]) -> DetectionSet {
@@ -559,9 +560,7 @@ mod tests {
                 ..SystemParams::carla_case_study()
             },
             proactive,
-            compromised_priority: 2.0 / 3.0,
-            proportional_selection: false,
-            per_module_clocks: true,
+            victims: VictimRule::Priority(2.0 / 3.0),
         }
     }
 
@@ -653,9 +652,7 @@ mod tests {
                 ..SystemParams::carla_case_study()
             },
             proactive: true,
-            compromised_priority: 2.0 / 3.0,
-            proportional_selection: false,
-            per_module_clocks: true,
+            victims: VictimRule::Priority(2.0 / 3.0),
         };
         let mut p = MultiVersionPerception::new(&bank, PerceptionConfig::default(), process, 3);
         let before: Vec<ModelState> = p.modules.iter_mut().map(|m| m.model.snapshot()).collect();

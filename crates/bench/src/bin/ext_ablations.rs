@@ -4,7 +4,8 @@
 //! 1. **Victim-selection policy** — the paper's analytic model picks
 //!    proactive-rejuvenation victims with count-proportional weights
 //!    (Table I), while its CARLA study uses a fixed 2/3 compromised
-//!    priority. How much does the policy matter for long-run health?
+//!    priority. How much does the policy matter for long-run health? Every
+//!    row runs the same Fig. 3 net and seed; only the victim weights differ.
 //! 2. **Rejuvenation interval (analytic)** — where is the knee of the
 //!    interval/reliability curve for the three-version system?
 //! 3. **Erlang resolution** — how many phases does the deterministic-clock
@@ -20,7 +21,7 @@
 
 use mvml_bench::format::{f, render_table};
 use mvml_core::dspn::{expected_system_reliability, SolveOptions};
-use mvml_core::rejuvenation::{ProcessConfig, StateProcess};
+use mvml_core::rejuvenation::{ProcessConfig, StateProcess, VictimRule};
 use mvml_core::SystemParams;
 
 fn healthy_fraction(cfg: ProcessConfig, horizon: f64, seed: u64) -> (f64, f64) {
@@ -45,57 +46,36 @@ fn main() {
     let params = SystemParams::carla_case_study();
 
     println!("Ablation 1 — proactive victim-selection policy (CARLA parameters, 20 000 s)\n");
-    let policies: Vec<(&str, ProcessConfig)> = vec![
+    // `None`: the Fig. 2 net, without proactive rejuvenation.
+    let policies = [
         (
             "fixed priority 2/3 (paper case study)",
-            ProcessConfig {
-                params,
-                proactive: true,
-                compromised_priority: 2.0 / 3.0,
-                proportional_selection: false,
-                per_module_clocks: true,
-            },
+            Some(VictimRule::Priority(2.0 / 3.0)),
         ),
         (
             "fixed priority 1.0 (always compromised)",
-            ProcessConfig {
-                params,
-                proactive: true,
-                compromised_priority: 1.0,
-                proportional_selection: false,
-                per_module_clocks: true,
-            },
+            Some(VictimRule::Priority(1.0)),
         ),
         (
             "fixed priority 1/3 (mostly healthy)",
-            ProcessConfig {
-                params,
-                proactive: true,
-                compromised_priority: 1.0 / 3.0,
-                proportional_selection: false,
-                per_module_clocks: true,
-            },
+            Some(VictimRule::Priority(1.0 / 3.0)),
         ),
         (
             "proportional (DSPN Table I weights)",
-            ProcessConfig::dspn_aligned(params, true),
+            Some(VictimRule::Proportional),
         ),
-        (
-            "no proactive rejuvenation",
-            ProcessConfig {
-                params,
-                proactive: false,
-                compromised_priority: 0.0,
-                proportional_selection: false,
-                per_module_clocks: true,
-            },
-        ),
+        ("no proactive rejuvenation", None),
     ];
     let rows: Vec<Vec<String>> = policies
         .iter()
-        .map(|(label, cfg)| {
-            let (healthy, majority) = healthy_fraction(*cfg, 20_000.0, 7);
-            vec![(*label).to_string(), f(healthy, 4), f(majority, 4)]
+        .map(|&(label, victims)| {
+            let cfg = ProcessConfig {
+                params,
+                proactive: victims.is_some(),
+                victims: victims.unwrap_or(VictimRule::Proportional),
+            };
+            let (healthy, majority) = healthy_fraction(cfg, 20_000.0, 7);
+            vec![label.to_string(), f(healthy, 4), f(majority, 4)]
         })
         .collect();
     println!(

@@ -32,6 +32,10 @@
 //!    detection-speed C→N transition the analytic models do not know
 //!    about; under sanitization a corrupted module is exactly as silent
 //!    as a non-functional one, so the reward depends on `#Pmh` alone.)
+//!    Both intervals are Student-t batch-means intervals at 99.73% (the
+//!    normal ±3σ), and the frame stream visits the test set in a fresh
+//!    seeded order on every pass, so which frame is classified is
+//!    independent of the chain's state.
 
 use mvml_core::dspn::{reactive_only, with_proactive, SolveOptions};
 use mvml_core::rejuvenation::{ProcessConfig, StateEvent, StateProcess};
@@ -46,7 +50,11 @@ use mvml_obs::{Recorder, TelemetryEvent, TelemetryRecord, VoterOutcome, VotingRu
 use mvml_petri::{
     erlang_expand, simulate, solve_steady, ExpectedReward, SimConfig, SolutionMethod,
 };
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::f64::consts::FRAC_2_PI;
 
 /// The fault kinds exercised by the grid, with their report labels.
 pub const FAULT_KINDS: [(&str, RuntimeFault); 6] = [
@@ -270,12 +278,12 @@ pub struct CrossCheck {
     pub analytic: f64,
     /// The same reward estimated by discrete-event simulation of the net.
     pub des_simulated: f64,
-    /// 99.7% batch-means half-width of the DES estimate.
+    /// 99.73% Student-t batch-means half-width of the DES estimate.
     pub des_half_width: f64,
     /// Long-run reliability measured on the live hardened system while the
     /// health chain injects NaN corruption into compromised modules.
     pub empirical: f64,
-    /// 99.7% batch-means half-width of the empirical estimate.
+    /// 99.73% Student-t batch-means half-width of the empirical estimate.
     pub empirical_half_width: f64,
     /// Acceptance tolerance: `des_half_width + empirical_half_width`.
     pub tolerance: f64,
@@ -512,11 +520,53 @@ fn per_state_reliability(models: &[Sequential], test: &Dataset, batch: usize) ->
         .collect()
 }
 
+/// Two-sided coverage of the cross-check intervals: the normal ±3σ.
+const COVERAGE: f64 = 0.9973;
+
+/// The `t` with `P(|T| ≤ t) = coverage` for Student's t with `df` degrees
+/// of freedom: the multiplier of a batch-means standard error over `df + 1`
+/// batches. Bisects the closed-form CDF for integer `df` (Abramowitz &
+/// Stegun 26.7.3 and 26.7.4).
+fn t_quantile(coverage: f64, df: usize) -> f64 {
+    assert!(df > 0, "a t interval needs at least two batches");
+    let odd = df % 2;
+    let covered = |t: f64| {
+        let theta = (t / (df as f64).sqrt()).atan();
+        let (sin, cos) = theta.sin_cos();
+        let (mut term, mut sum) = (1.0, 1.0);
+        for i in 1..((df - odd) / 2) {
+            term *= (2 * i - 1 + odd) as f64 / (2 * i + odd) as f64 * cos * cos;
+            sum += term;
+        }
+        match (df, odd) {
+            (1, _) => theta * FRAC_2_PI,
+            (_, 1) => (theta + sin * cos * sum) * FRAC_2_PI,
+            _ => sin * sum,
+        }
+    };
+    let (mut lo, mut hi) = (0.0, 1e6);
+    for _ in 0..100 {
+        let mid = 0.5 * (lo + hi);
+        if covered(mid) < coverage {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    hi
+}
+
 /// Runs the live system under the health chain: every `Compromised` event
 /// plants a NaN-corruption runtime fault, every crash/repair transition is
 /// mirrored into the module bank, and the sanitize-only guard classifies
 /// one frame per step. Returns the batch-means `(mean, half_width)` of the
-/// per-batch output reliability (99.7%, z = 3).
+/// per-batch output reliability (99.73% Student-t).
+///
+/// Each pass over the test set takes a fresh seeded order: in a fixed
+/// cyclic order every frame would fall on the same few phases of the
+/// deterministic proactive clock (2 of 20 on the unit-test config), and
+/// the frames sharing a phase with a fresh rejuvenation would bias the
+/// proactive estimate.
 fn empirical_under_chain(
     models: &[Sequential],
     test: &Dataset,
@@ -537,6 +587,8 @@ fn empirical_under_chain(
     let dt = cfg.horizon / cfg.frames as f64;
     let measured = cfg.frames - cfg.warmup_frames;
     let mut batch_tallies = vec![EmpiricalReliability::zero(); cfg.batches];
+    let mut order: Vec<usize> = (0..test.len()).collect();
+    let mut shuffler = StdRng::seed_from_u64(cfg.seed ^ 0x6672_616D_6573);
     for f in 0..cfg.frames {
         for ev in process.advance(dt) {
             match ev.event {
@@ -564,8 +616,11 @@ fn empirical_under_chain(
                 StateEvent::TriggerDropped => {}
             }
         }
-        let i = (f as usize) % test.len();
-        let (x, labels) = test.batch(&[i]);
+        let pos = (f as usize) % test.len();
+        if pos == 0 {
+            order.shuffle(&mut shuffler);
+        }
+        let (x, labels) = test.batch(&[order[pos]]);
         let verdict = sys.classify_batch(&x).remove(0);
         if f >= cfg.warmup_frames {
             let b = ((f - cfg.warmup_frames) * cfg.batches as u64 / measured) as usize;
@@ -573,10 +628,10 @@ fn empirical_under_chain(
         }
     }
     let means: Vec<f64> = batch_tallies.iter().map(|t| t.reliability()).collect();
-    let mean = means.iter().sum::<f64>() / means.len() as f64;
-    let var =
-        means.iter().map(|m| (m - mean).powi(2)).sum::<f64>() / (means.len() - 1).max(1) as f64;
-    (mean, 3.0 * (var / means.len() as f64).sqrt())
+    let b = means.len();
+    let mean = means.iter().sum::<f64>() / b as f64;
+    let var = means.iter().map(|m| (m - mean).powi(2)).sum::<f64>() / (b - 1) as f64;
+    (mean, t_quantile(COVERAGE, b - 1) * (var / b as f64).sqrt())
 }
 
 fn run_cross_check(
@@ -618,17 +673,15 @@ fn run_cross_check(
         // DES of the same net (deterministic clock simulated natively).
         let des_recorder = recorder.scoped(&format!("crosscheck/{variant}/des"));
         let des_span = des_recorder.span();
-        let sim = simulate(
-            &mv.net,
-            &SimConfig {
-                horizon: cfg.des_horizon,
-                warmup: cfg.des_warmup,
-                seed: cfg.seed,
-                ..SimConfig::default()
-            },
-        )
-        .expect("DES run");
-        let (des_simulated, des_half_width) = sim.reward_ci(|m| r_emp[m[pmh] as usize], 3.0);
+        let des_cfg = SimConfig {
+            horizon: cfg.des_horizon,
+            warmup: cfg.des_warmup,
+            seed: cfg.seed,
+            ..SimConfig::default()
+        };
+        let sim = simulate(&mv.net, &des_cfg).expect("DES run");
+        let t = t_quantile(COVERAGE, des_cfg.batches - 1);
+        let (des_simulated, des_half_width) = sim.reward_ci(|m| r_emp[m[pmh] as usize], t);
         des_recorder.emit_timed(des_span.stop(), || TelemetryEvent::SolverRun {
             model: mv.net.name().to_string(),
             backend: "simulation".to_string(),
@@ -1061,6 +1114,23 @@ mod tests {
         let report = run_campaign(cfg, &recorder);
         assert_eq!(ring.dropped(), 0, "ring buffer must hold the full stream");
         (report, ring.snapshot())
+    }
+
+    #[test]
+    fn t_quantile_matches_tables() {
+        // Two-sided Student-t quantiles from standard tables, and the
+        // normal ±3σ in the limit.
+        for (coverage, df, t) in [
+            (0.95, 1, 12.7062),
+            (0.95, 2, 4.3027),
+            (0.95, 7, 2.3646),
+            (0.99, 7, 3.4995),
+            (0.99, 19, 2.8609),
+            (COVERAGE, 100_000, 3.0000),
+        ] {
+            let q = t_quantile(coverage, df);
+            assert!((q - t).abs() < 1e-4, "t({coverage}, {df}) = {q}, table {t}");
+        }
     }
 
     #[test]

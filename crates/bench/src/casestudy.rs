@@ -98,9 +98,7 @@ mod tests {
                 ..SystemParams::carla_case_study()
             },
             proactive: false,
-            compromised_priority: 2.0 / 3.0,
-            proportional_selection: false,
-            per_module_clocks: true,
+            victims: mvml_core::rejuvenation::VictimRule::Priority(2.0 / 3.0),
         };
         let aggregates = campaign(&bank, &base, 1, &Recorder::disabled());
         assert_eq!(aggregates.len(), 8);

@@ -10,8 +10,10 @@
 //! token and restarts the clock — see DESIGN.md §1.5 for how this resolves
 //! the paper's ambiguous `Trt` reset), and immediate transitions
 //! `Trj1`/`Trj2` pick a compromised or healthy victim with the
-//! marking-dependent weights of the paper's Table I. Reactive rejuvenation
-//! takes precedence via inhibitor arcs from `Pmf`.
+//! marking-dependent weights of the paper's Table I (or another
+//! [`VictimRule`]). Reactive rejuvenation takes precedence via inhibitor
+//! arcs from `Pmf`. The runtime, [`crate::rejuvenation::StateProcess`],
+//! plays these same nets.
 
 use crate::params::SystemParams;
 use crate::reliability::{StateReliability, SystemState};
@@ -20,6 +22,7 @@ use mvml_petri::{
     erlang_expand, solve_steady, ExpectedReward, Marking, Net, NetBuilder, PetriError, PlaceId,
     ServerSemantics, SolutionInfo, SolutionMethod, SolverOptions, WeightSpec,
 };
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -132,21 +135,7 @@ impl Certificates {
 pub fn reactive_only(n: u32, params: &SystemParams) -> Result<MvmlNet, PetriError> {
     check_n(n)?;
     let mut b = NetBuilder::new(format!("mvml-{n}v-reactive"));
-    let pmh = b.place("Pmh", n);
-    let pmc = b.place("Pmc", 0);
-    let pmf = b.place("Pmf", 0);
-    // Single-server semantics for Tc/Tf (TimeNET's default, and the only
-    // choice that reproduces the paper's Table V: an adversary compromises
-    // one module at a time, cf. DESIGN.md).
-    let tc = b.exponential_with("Tc", params.lambda_c(), ServerSemantics::Single);
-    let tf = b.exponential_with("Tf", params.lambda(), ServerSemantics::Single);
-    let tr = b.exponential_with("Tr", params.mu(), ServerSemantics::Single);
-    b.input_arc(pmh, tc, 1)?;
-    b.output_arc(tc, pmc, 1)?;
-    b.input_arc(pmc, tf, 1)?;
-    b.output_arc(tf, pmf, 1)?;
-    b.input_arc(pmf, tr, 1)?;
-    b.output_arc(tr, pmh, 1)?;
+    let (pmh, pmc, pmf) = modules(&mut b, n, params)?;
     Ok(MvmlNet {
         net: CERTIFICATES.certify((Variant::Reactive, n), b.build()?)?,
         pmh,
@@ -157,26 +146,16 @@ pub fn reactive_only(n: u32, params: &SystemParams) -> Result<MvmlNet, PetriErro
     })
 }
 
-/// Builds the Fig. 3 DSPN: Fig. 2 plus the time-triggered proactive
-/// rejuvenation mechanism (clock, trigger, victim selection, rejuvenation).
-///
-/// # Errors
-///
-/// Returns [`PetriError::InvalidParameter`] for `n ∉ 1..=`[`MAX_MODULES`]
-/// or invalid rates, and [`PetriError::StructurallyUnsound`] if the built
-/// net fails structural certification.
-pub fn with_proactive(n: u32, params: &SystemParams) -> Result<MvmlNet, PetriError> {
-    check_n(n)?;
-    let mut b = NetBuilder::new(format!("mvml-{n}v-proactive"));
+/// Adds Figs. 2 and 3's `n` modules cycling `Pmh → (Tc) → Pmc → (Tf) → Pmf
+/// → (Tr) → Pmh`; returns `(Pmh, Pmc, Pmf)`.
+fn modules(
+    b: &mut NetBuilder,
+    n: u32,
+    params: &SystemParams,
+) -> Result<(PlaceId, PlaceId, PlaceId), PetriError> {
     let pmh = b.place("Pmh", n);
     let pmc = b.place("Pmc", 0);
     let pmf = b.place("Pmf", 0);
-    let prc = b.place("Prc", 1);
-    let ptr = b.place("Ptr", 0);
-    let pac = b.place("Pac", 0);
-    let pmr = b.place("Pmr", 0);
-
-    // Module lifecycle (as in Fig. 2).
     // Single-server semantics for Tc/Tf (TimeNET's default, and the only
     // choice that reproduces the paper's Table V: an adversary compromises
     // one module at a time, cf. DESIGN.md).
@@ -189,6 +168,93 @@ pub fn with_proactive(n: u32, params: &SystemParams) -> Result<MvmlNet, PetriErr
     b.output_arc(tf, pmf, 1)?;
     b.input_arc(pmf, tr, 1)?;
     b.output_arc(tr, pmh, 1)?;
+    Ok((pmh, pmc, pmf))
+}
+
+/// How an accepted proactive trigger weighs a compromised (`Trj1`) against a
+/// healthy (`Trj2`) victim.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub enum VictimRule {
+    /// The paper's Table I: weights proportional to the compromised and
+    /// healthy counts.
+    Proportional,
+    /// A compromised victim with this fixed probability (the paper's CARLA
+    /// case study uses 2/3).
+    Priority(f64),
+}
+
+impl VictimRule {
+    /// The `(Trj1, Trj2)` weights with `c` compromised and `h` healthy
+    /// modules, floored at Table I's `1e-5` so that no weight is ever zero.
+    fn weights(self, c: u32, h: u32) -> (f64, f64) {
+        let (w1, w2) = match self {
+            VictimRule::Proportional => (
+                f64::from(c) / f64::from(c + h),
+                f64::from(h) / f64::from(c + h),
+            ),
+            VictimRule::Priority(p) => (p, 1.0 - p),
+        };
+        (w1.max(0.000_01), w2.max(0.000_01))
+    }
+}
+
+/// Builds the Fig. 3 DSPN: Fig. 2 plus the time-triggered proactive
+/// rejuvenation mechanism (clock, trigger, victim selection, rejuvenation),
+/// with the Table I victim weights.
+///
+/// # Errors
+///
+/// Returns [`PetriError::InvalidParameter`] for `n ∉ 1..=`[`MAX_MODULES`]
+/// or invalid rates, and [`PetriError::StructurallyUnsound`] if the built
+/// net fails structural certification.
+pub fn with_proactive(n: u32, params: &SystemParams) -> Result<MvmlNet, PetriError> {
+    with_proactive_victims(n, params, VictimRule::Proportional)
+}
+
+/// [`with_proactive`] with the victim weights of `victims`. Marking-dependent
+/// weights are never read by the structural analysis, so one certificate
+/// per `n` covers every rule.
+///
+/// # Errors
+///
+/// As [`with_proactive`], and [`PetriError::InvalidParameter`] for a
+/// priority outside `[0, 1]`.
+pub(crate) fn with_proactive_victims(
+    n: u32,
+    params: &SystemParams,
+    victims: VictimRule,
+) -> Result<MvmlNet, PetriError> {
+    check_n(n)?;
+    if matches!(victims, VictimRule::Priority(p) if !(0.0..=1.0).contains(&p)) {
+        return Err(PetriError::InvalidParameter {
+            what: format!("victim rule {victims:?}: the priority is not a probability"),
+        });
+    }
+    let mut b = NetBuilder::new(format!("mvml-{n}v-proactive"));
+    let (pmh, pmc, pmf) = modules(&mut b, n, params)?;
+    let (pmr, pac) = proactive(&mut b, (pmh, pmc, pmf), params, victims)?;
+    Ok(MvmlNet {
+        net: CERTIFICATES.certify((Variant::Proactive, n), b.build()?)?,
+        pmh,
+        pmc,
+        pmf,
+        pmr: Some(pmr),
+        pac: Some(pac),
+    })
+}
+
+/// Adds Fig. 3's clock, trigger, victim selection and rejuvenation over the
+/// module places `(Pmh, Pmc, Pmf)`; returns `(Pmr, Pac)`.
+fn proactive(
+    b: &mut NetBuilder,
+    (pmh, pmc, pmf): (PlaceId, PlaceId, PlaceId),
+    params: &SystemParams,
+    victims: VictimRule,
+) -> Result<(PlaceId, PlaceId), PetriError> {
+    let prc = b.place("Prc", 1);
+    let ptr = b.place("Ptr", 0);
+    let pac = b.place("Pac", 0);
+    let pmr = b.place("Pmr", 0);
 
     // Proactive clock: Trc fires every 1/γ (deterministic).
     let trc = b.deterministic("Trc", params.rejuvenation_interval);
@@ -215,26 +281,13 @@ pub fn with_proactive(n: u32, params: &SystemParams) -> Result<MvmlNet, PetriErr
         m.as_slice()[pac_i] + m.as_slice()[pmr_i] > 0
     })?;
 
-    // Victim selection (Table I): weights w1/w2 proportional to the number
-    // of compromised/healthy modules, with the paper's 1e-5 floor.
+    // Victim selection: `victims` weighs a compromised (w1) against a
+    // healthy (w2) victim in the current marking.
     let pmh_i = pmh.index();
     let pmc_i = pmc.index();
-    let w1 = WeightSpec::Fn(Arc::new(move |m: &Marking| {
-        let (c, h) = (m.as_slice()[pmc_i], m.as_slice()[pmh_i]);
-        if c == 0 {
-            0.000_01
-        } else {
-            f64::from(c) / f64::from(c + h)
-        }
-    }));
-    let w2 = WeightSpec::Fn(Arc::new(move |m: &Marking| {
-        let (c, h) = (m.as_slice()[pmc_i], m.as_slice()[pmh_i]);
-        if h == 0 {
-            0.000_01
-        } else {
-            f64::from(h) / f64::from(c + h)
-        }
-    }));
+    let weights = move |m: &Marking| victims.weights(m.as_slice()[pmc_i], m.as_slice()[pmh_i]);
+    let w1 = WeightSpec::Fn(Arc::new(move |m: &Marking| weights(m).0));
+    let w2 = WeightSpec::Fn(Arc::new(move |m: &Marking| weights(m).1));
     let trj1 = b.immediate_with("Trj1", 1, w1);
     b.input_arc(pac, trj1, 1)?;
     b.input_arc(pmc, trj1, 1)?;
@@ -250,15 +303,7 @@ pub fn with_proactive(n: u32, params: &SystemParams) -> Result<MvmlNet, PetriErr
     let trj = b.exponential("Trj", params.mu_r());
     b.input_arc(pmr, trj, 1)?;
     b.output_arc(trj, pmh, 1)?;
-
-    Ok(MvmlNet {
-        net: CERTIFICATES.certify((Variant::Proactive, n), b.build()?)?,
-        pmh,
-        pmc,
-        pmf,
-        pmr: Some(pmr),
-        pac: Some(pac),
-    })
+    Ok((pmr, pac))
 }
 
 /// Options for [`expected_system_reliability`].
@@ -624,6 +669,27 @@ mod tests {
         let mut p = paper();
         p.p = 0.9; // violates p <= p'
         assert!(expected_system_reliability(3, false, &p, &opts_fast()).is_err());
+    }
+
+    #[test]
+    fn fig3_without_repair_fails_analysis() {
+        // The Fig. 3 net with `Tr` and its arcs dropped: non-functional
+        // modules never come back, so `Tf` leaves the recurrent behaviour.
+        let p = paper();
+        let mut b = NetBuilder::new("mvml-3v-proactive-no-repair");
+        let pmh = b.place("Pmh", 3);
+        let pmc = b.place("Pmc", 0);
+        let pmf = b.place("Pmf", 0);
+        let tc = b.exponential_with("Tc", p.lambda_c(), ServerSemantics::Single);
+        let tf = b.exponential_with("Tf", p.lambda(), ServerSemantics::Single);
+        b.input_arc(pmh, tc, 1).unwrap();
+        b.output_arc(tc, pmc, 1).unwrap();
+        b.input_arc(pmc, tf, 1).unwrap();
+        b.output_arc(tf, pmf, 1).unwrap();
+        proactive(&mut b, (pmh, pmc, pmf), &p, VictimRule::Proportional).unwrap();
+        let report = b.build().unwrap().analyze();
+        assert!(!report.is_certified(), "{report}");
+        assert!(report.error_summary().contains("`Tf` is in no T-invariant"));
     }
 
     #[test]

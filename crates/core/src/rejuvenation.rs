@@ -1,76 +1,55 @@
-//! The continuous-time module-state process with reactive and time-triggered
-//! proactive rejuvenation — the *empirical* counterpart of the DSPN models,
-//! used to drive fault injection in the AV case study (paper Section VII-A,
-//! "Parameters").
+//! The module-health process with reactive and time-triggered proactive
+//! rejuvenation that drives fault injection in the AV case study (paper
+//! Section VII-A, "Parameters") and the runtime campaign.
 //!
-//! The process uses the same **single-server semantics** as the DSPN models
-//! of Figs. 2–3 (and as TimeNET's defaults, which the paper's Table V
-//! numbers imply): compromises arrive at rate `λ_c = 1/mttc` *globally* (an
-//! adversary compromises one module at a time, picking a random healthy
-//! victim), compromised modules crash at global rate `λ`, and reactive
-//! rejuvenation repairs non-functional modules one at a time at rate `μ`.
-//! A deterministic clock fires every `1/γ`; an accepted trigger rejuvenates
-//! one victim (compromised modules prioritised with probability
-//! `compromised_priority`, the paper uses 2/3), holding it in
-//! `Rejuvenating` for `Exp(1/μ_r)`. Triggers are dropped while a module is
-//! non-functional or a rejuvenation is in flight (reactive precedence, the
-//! DSPN's guard `g2`).
+//! [`StateProcess`] plays the paper's own nets, Fig. 2 ([`reactive_only`])
+//! or Fig. 3 ([`with_proactive`](crate::dspn::with_proactive), with the
+//! configured [`VictimRule`]), on [`mvml_petri::Simulator`], the token game
+//! behind the Table V DES, so the solvers, the structural certificate and
+//! the runtime share one model. Every state change is a firing of that net,
+//! except [`StateProcess::report_failure`]'s forced token move. In
+//! particular, a trigger accepted while a module is non-functional waits in
+//! `Pac` and starts its rejuvenation once the repair ends. The net counts modules per state; which module a firing
+//! moves is drawn uniformly from a second seeded stream.
 
+pub use crate::dspn::VictimRule;
+
+use crate::dspn::{reactive_only, with_proactive_victims};
 use crate::module::ModuleState;
 use crate::params::SystemParams;
+use mvml_petri::{Net, PlaceId, SimConfig, Simulator, TransitionId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Configuration of a [`StateProcess`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ProcessConfig {
     /// Timing parameters (`mttc`, `mttf`, rejuvenation durations/interval).
     pub params: SystemParams,
-    /// Whether the time-triggered proactive mechanism is active.
+    /// Whether proactive rejuvenation is active (Fig. 3; otherwise Fig. 2).
     pub proactive: bool,
-    /// Probability that an accepted trigger picks a compromised victim when
-    /// one exists (the paper's CARLA case study uses 2/3).
-    pub compromised_priority: f64,
-    /// When `true`, the victim is instead chosen with probability
-    /// proportional to the compromised/healthy counts — the DSPN's Table I
-    /// weights `w1 = #Pmc/(#Pmc+#Pmh)`. The paper's analytic model and its
-    /// CARLA study differ here; this flag selects which to emulate.
-    pub proportional_selection: bool,
-    /// When `true`, every module carries its own compromise/failure/repair
-    /// clock (rates scale with the number of modules in each state) — the
-    /// paper's CARLA case study, where "models become compromised
-    /// sequentially after the defined time to compromise" with per-module
-    /// exponential times. When `false`, the single-server semantics of the
-    /// DSPN models apply (one adversary, one repairman).
-    pub per_module_clocks: bool,
+    /// How an accepted trigger picks its victim.
+    pub victims: VictimRule,
 }
 
 impl ProcessConfig {
-    /// The paper's CARLA case-study configuration.
+    /// The paper's CARLA case-study configuration (2/3 compromised priority).
     pub fn carla(proactive: bool) -> Self {
         ProcessConfig {
             params: SystemParams::carla_case_study(),
             proactive,
-            compromised_priority: 2.0 / 3.0,
-            proportional_selection: false,
-            // The paper's models "become compromised sequentially": one
-            // adversary working module by module, matching the DSPN's
-            // single-server Tc (and the only semantics under which the
-            // paper's rejuvenated system can stay ahead of the attacker).
-            per_module_clocks: false,
+            victims: VictimRule::Priority(2.0 / 3.0),
         }
     }
 
-    /// A process aligned with the DSPN of Fig. 3 (proportional victim
-    /// selection), for analytic cross-validation.
+    /// The net the steady-state solvers use (Table I's victim weights).
     pub fn dspn_aligned(params: SystemParams, proactive: bool) -> Self {
         ProcessConfig {
             params,
             proactive,
-            compromised_priority: 2.0 / 3.0,
-            proportional_selection: true,
-            per_module_clocks: false,
+            victims: VictimRule::Proportional,
         }
     }
 }
@@ -105,7 +84,7 @@ pub enum StateEvent {
         /// Index of the module.
         module: usize,
     },
-    /// A trigger fired while the system could not accept it and was dropped.
+    /// A trigger fired while a rejuvenation was pending or in flight.
     TriggerDropped,
 }
 
@@ -118,15 +97,18 @@ pub struct TimedEvent {
     pub event: StateEvent,
 }
 
-/// The continuous-time health process of `n` modules (Gillespie-style, with
-/// a deterministic proactive clock racing the stochastic events).
+/// The health process of `n` modules: the Fig. 2/3 net played in time, with
+/// module identities attached to its firings.
 #[derive(Debug, Clone)]
 pub struct StateProcess {
-    cfg: ProcessConfig,
+    sim: Simulator<Arc<Net>>,
+    /// Healthy, compromised and non-functional module places.
+    pmh: PlaceId,
+    pmc: PlaceId,
+    pmf: PlaceId,
     states: Vec<ModuleState>,
-    next_trigger: f64,
-    clock: f64,
-    rng: StdRng,
+    /// Picks which module of a state a firing moves.
+    picker: StdRng,
 }
 
 impl StateProcess {
@@ -134,26 +116,29 @@ impl StateProcess {
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0`, the parameters fail validation, or the priority
-    /// is outside `[0, 1]`.
+    /// Panics if `n == 0`, `n` exceeds [`crate::dspn::MAX_MODULES`], the
+    /// parameters fail validation, or a victim priority is outside
+    /// `[0, 1]`.
     #[allow(clippy::expect_used)] // documented constructor panic
     pub fn new(n: usize, cfg: ProcessConfig, seed: u64) -> Self {
         assert!(n > 0, "need at least one module");
         cfg.params.validate().expect("invalid parameters");
-        assert!(
-            (0.0..=1.0).contains(&cfg.compromised_priority),
-            "priority must be a probability"
-        );
+        let n32 = u32::try_from(n).expect("module count fits the net");
+        let mv = if cfg.proactive {
+            with_proactive_victims(n32, &cfg.params, cfg.victims)
+        } else {
+            reactive_only(n32, &cfg.params)
+        }
+        .expect("the health net builds from validated parameters");
+        let chain = SimConfig::default().max_immediate_chain;
         StateProcess {
-            cfg,
+            sim: Simulator::new(Arc::new(mv.net), seed, chain)
+                .expect("the health net has no immediate cycle"),
+            pmh: mv.pmh,
+            pmc: mv.pmc,
+            pmf: mv.pmf,
             states: vec![ModuleState::Healthy; n],
-            next_trigger: if cfg.proactive {
-                cfg.params.rejuvenation_interval
-            } else {
-                f64::INFINITY
-            },
-            clock: 0.0,
-            rng: StdRng::seed_from_u64(seed),
+            picker: StdRng::seed_from_u64(seed ^ 0x6D6F_6475_6C65),
         }
     }
 
@@ -164,80 +149,50 @@ impl StateProcess {
 
     /// Current simulation time.
     pub fn time(&self) -> f64 {
-        self.clock
+        self.sim.time()
     }
 
     /// `(healthy, compromised, non-functional-or-rejuvenating)` counts.
     pub fn state_counts(&self) -> (usize, usize, usize) {
-        let mut c = (0, 0, 0);
-        for s in &self.states {
-            match s {
-                ModuleState::Healthy => c.0 += 1,
-                ModuleState::Compromised => c.1 += 1,
-                _ => c.2 += 1,
-            }
-        }
-        c
-    }
-
-    /// Reports an externally *detected* failure of `module` (e.g. a runtime
-    /// watchdog escalation): an operational module is forced to
-    /// [`ModuleState::NonFunctional`] immediately, where the ordinary
-    /// reactive-repair transition (rate `μ`) picks it up. Returns `true` if
-    /// the module's state changed — `false` for out-of-range indices or
-    /// modules already under repair/rejuvenation.
-    ///
-    /// This is the runtime-assurance coupling of the paper's architecture:
-    /// the DSPN's `Tf` models modules *crashing on their own*; the watchdog
-    /// adds a detection-driven path into the same repair loop, so detected
-    /// misbehaviour recovers at the modelled reactive rate instead of
-    /// lingering as a compromised voter.
-    pub fn report_failure(&mut self, module: usize) -> bool {
-        match self.states.get(module) {
-            Some(s) if s.is_operational() => {
-                self.states[module] = ModuleState::NonFunctional;
-                true
-            }
-            _ => false,
-        }
+        let (h, c) = (
+            self.count(ModuleState::Healthy),
+            self.count(ModuleState::Compromised),
+        );
+        (h, c, self.states.len() - h - c)
     }
 
     fn count(&self, state: ModuleState) -> usize {
         self.states.iter().filter(|&&s| s == state).count()
     }
 
-    fn random_in_state(&mut self, state: ModuleState) -> usize {
-        let candidates: Vec<usize> = self
-            .states
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| **s == state)
-            .map(|(i, _)| i)
-            .collect();
-        candidates[self.rng.random_range(0..candidates.len())]
-    }
-
-    /// Rates of the four stochastic event classes in the current marking:
-    /// compromise (Tc), crash (Tf), reactive repair (Tr), proactive
-    /// completion (Trj) — single-server (DSPN semantics) or scaled by the
-    /// per-state module count (the CARLA study's per-module clocks).
-    fn rates(&self) -> [f64; 4] {
-        let p = &self.cfg.params;
-        let scale = |n: usize| -> f64 {
-            if n == 0 {
-                0.0
-            } else if self.cfg.per_module_clocks {
-                n as f64
-            } else {
-                1.0
-            }
+    /// Reports an externally *detected* failure of `module` (e.g. a runtime
+    /// watchdog escalation): an operational module is forced to
+    /// [`ModuleState::NonFunctional`] immediately, a forced token move into
+    /// the net's `Pmf`, where the ordinary reactive-repair transition `Tr`
+    /// (rate `μ`) picks it up. Returns `true` if the module's state changed
+    /// — `false` for out-of-range indices or modules already under
+    /// repair/rejuvenation.
+    ///
+    /// This is the runtime-assurance coupling of the paper's architecture:
+    /// the DSPN's `Tf` models modules *crashing on their own*; the watchdog
+    /// adds a detection-driven path into the same repair loop, so detected
+    /// misbehaviour recovers at the modelled reactive rate instead of
+    /// lingering as a compromised voter.
+    #[allow(clippy::expect_used)] // module states mirror the marking
+    pub fn report_failure(&mut self, module: usize) -> bool {
+        let from = match self.states.get(module) {
+            Some(ModuleState::Healthy) => self.pmh,
+            Some(ModuleState::Compromised) => self.pmc,
+            _ => return false,
         };
-        [
-            p.lambda_c() * scale(self.count(ModuleState::Healthy)),
-            p.lambda() * scale(self.count(ModuleState::Compromised)),
-            p.mu() * scale(self.count(ModuleState::NonFunctional)),
-            p.mu_r() * scale(self.count(ModuleState::Rejuvenating)),
-        ]
+        let fired = self
+            .sim
+            .force_move(from, self.pmf)
+            .expect("the place holds the module");
+        // `Pmf` now inhibits the only immediates that could fire (`Trj1`/`Trj2`).
+        debug_assert!(fired.is_empty(), "a forced failure fires nothing");
+        self.states[module] = ModuleState::NonFunctional;
+        true
     }
 
     /// Advances the process by `dt`, returning every event that occurred,
@@ -247,114 +202,49 @@ impl StateProcess {
     ///
     /// Panics if `dt` is negative or non-finite.
     pub fn advance(&mut self, dt: f64) -> Vec<TimedEvent> {
-        assert!(dt.is_finite() && dt >= 0.0, "dt must be non-negative");
-        let deadline = self.clock + dt;
-        let mut events = Vec::new();
-        loop {
-            let rates = self.rates();
-            let total: f64 = rates.iter().sum();
-            // Sample the next stochastic event (or never, if nothing is
-            // enabled), then race it against the deterministic trigger.
-            let stochastic_at = if total > 0.0 {
-                let u: f64 = self.rng.random();
-                self.clock + (-(1.0 - u).ln() / total)
-            } else {
-                f64::INFINITY
-            };
-            let trigger_at = self.next_trigger;
-            let next = stochastic_at.min(trigger_at);
-            if next > deadline {
-                break;
-            }
-            self.clock = next;
-            if trigger_at <= stochastic_at {
-                self.fire_trigger(&mut events);
-            } else {
-                self.fire_stochastic(&rates, total, &mut events);
-            }
-        }
-        self.clock = deadline;
-        events
+        #[allow(clippy::expect_used)] // documented panic; the net's rates are constant
+        let fired = self
+            .sim
+            .advance(dt)
+            .expect("dt must be finite and non-negative");
+        fired
+            .into_iter()
+            .filter_map(|(time, t)| self.apply(t).map(|event| TimedEvent { time, event }))
+            .collect()
     }
 
-    fn fire_stochastic(&mut self, rates: &[f64; 4], total: f64, events: &mut Vec<TimedEvent>) {
-        let mut pick = self.rng.random::<f64>() * total;
-        let mut class = 3;
-        for (i, &r) in rates.iter().enumerate() {
-            if pick < r {
-                class = i;
-                break;
-            }
-            pick -= r;
-        }
-        let (from, to, mk): (ModuleState, ModuleState, fn(usize) -> StateEvent) = match class {
-            0 => (ModuleState::Healthy, ModuleState::Compromised, |m| {
-                StateEvent::Compromised { module: m }
-            }),
-            1 => (ModuleState::Compromised, ModuleState::NonFunctional, |m| {
-                StateEvent::Failed { module: m }
-            }),
-            2 => (ModuleState::NonFunctional, ModuleState::Healthy, |m| {
-                StateEvent::Recovered { module: m }
-            }),
-            _ => (ModuleState::Rejuvenating, ModuleState::Healthy, |m| {
-                StateEvent::ProactiveCompleted { module: m }
-            }),
+    /// Moves one module as the firing of `t` does and names the event;
+    /// `None` for the clock (`Trc`) and trigger acceptance (`Tac`), which
+    /// move no module.
+    #[allow(clippy::expect_used)] // module states mirror the marking
+    fn apply(&mut self, t: TransitionId) -> Option<StateEvent> {
+        use ModuleState::{Compromised, Healthy, NonFunctional, Rejuvenating};
+        let (from, to) = match self.sim.net().transition_name(t) {
+            "Tc" => (Healthy, Compromised),
+            "Tf" => (Compromised, NonFunctional),
+            "Tr" => (NonFunctional, Healthy),
+            "Trj" => (Rejuvenating, Healthy),
+            "Trj1" => (Compromised, Rejuvenating),
+            "Trj2" => (Healthy, Rejuvenating),
+            "Tdrop" => return Some(StateEvent::TriggerDropped),
+            _ => return None,
         };
-        let module = self.random_in_state(from);
+        let nth = self.picker.random_range(0..self.count(from));
+        let module = (0..self.states.len())
+            .filter(|&m| self.states[m] == from)
+            .nth(nth)
+            .expect("the firing's input place holds this many modules");
         self.states[module] = to;
-        events.push(TimedEvent {
-            time: self.clock,
-            event: mk(module),
-        });
-    }
-
-    fn fire_trigger(&mut self, events: &mut Vec<TimedEvent>) {
-        self.next_trigger = self.clock + self.cfg.params.rejuvenation_interval;
-        // Reactive precedence (DSPN guard g2): drop the trigger while a
-        // module is non-functional or already rejuvenating.
-        let blocked = self
-            .states
-            .iter()
-            .any(|s| matches!(s, ModuleState::NonFunctional | ModuleState::Rejuvenating));
-        if blocked {
-            events.push(TimedEvent {
-                time: self.clock,
-                event: StateEvent::TriggerDropped,
-            });
-            return;
-        }
-        let compromised = self.count(ModuleState::Compromised);
-        let healthy = self.count(ModuleState::Healthy);
-        let have_compromised = compromised > 0;
-        let have_healthy = healthy > 0;
-        let priority = if self.cfg.proportional_selection {
-            compromised as f64 / (compromised + healthy).max(1) as f64
-        } else {
-            self.cfg.compromised_priority
-        };
-        let pick_compromised =
-            have_compromised && (!have_healthy || self.rng.random::<f64>() < priority);
-        if !pick_compromised && !have_healthy {
-            events.push(TimedEvent {
-                time: self.clock,
-                event: StateEvent::TriggerDropped,
-            });
-            return;
-        }
-        let victim = if pick_compromised {
-            self.random_in_state(ModuleState::Compromised)
-        } else {
-            self.random_in_state(ModuleState::Healthy)
-        };
-        self.states[victim] = ModuleState::Rejuvenating;
-        events.push(TimedEvent {
-            time: self.clock,
-            event: StateEvent::ProactiveStarted {
-                module: victim,
-                was_compromised: pick_compromised,
+        Some(match (from, to) {
+            (_, Compromised) => StateEvent::Compromised { module },
+            (_, NonFunctional) => StateEvent::Failed { module },
+            (NonFunctional, _) => StateEvent::Recovered { module },
+            (Rejuvenating, _) => StateEvent::ProactiveCompleted { module },
+            _ => StateEvent::ProactiveStarted {
+                module,
+                was_compromised: from == Compromised,
             },
-        });
+        })
     }
 }
 
@@ -490,9 +380,7 @@ mod tests {
                     ..SystemParams::carla_case_study()
                 },
                 proactive: true,
-                compromised_priority: 2.0 / 3.0,
-                proportional_selection: false,
-                per_module_clocks: true,
+                victims: VictimRule::Priority(2.0 / 3.0),
             },
             0,
         );
@@ -510,6 +398,99 @@ mod tests {
     }
 
     #[test]
+    fn trigger_accepted_during_repair_waits_for_it() {
+        // Fig. 3's reactive precedence: a trigger that arrives while a
+        // module is non-functional is accepted into `Pac`, later triggers
+        // are dropped, and the rejuvenation starts the instant the repair
+        // ends.
+        let mut p = StateProcess::new(
+            3,
+            ProcessConfig {
+                params: SystemParams {
+                    mttc: 1e12,
+                    mttf: 1e12,
+                    reactive_time: 20.0,
+                    rejuvenation_interval: 3.0,
+                    ..SystemParams::carla_case_study()
+                },
+                proactive: true,
+                victims: VictimRule::Priority(2.0 / 3.0),
+            },
+            4,
+        );
+        assert!(p.report_failure(0));
+        let events = p.advance(500.0);
+        let recovered = events
+            .iter()
+            .find(|e| e.event == StateEvent::Recovered { module: 0 })
+            .expect("the repair completes");
+        assert!(recovered.time > 6.0, "repair at {}", recovered.time);
+        let first_start = events
+            .iter()
+            .find(|e| matches!(e.event, StateEvent::ProactiveStarted { .. }))
+            .expect("the waiting trigger starts a rejuvenation");
+        assert_eq!(first_start.time, recovered.time);
+        assert!(events
+            .iter()
+            .take_while(|e| e.time < recovered.time)
+            .all(|e| e.event == StateEvent::TriggerDropped));
+    }
+
+    #[test]
+    fn events_do_not_depend_on_how_time_is_sliced() {
+        let mut sliced = carla_proc(true, 8);
+        let mut events = Vec::new();
+        for _ in 0..400 {
+            events.extend(sliced.advance(0.05));
+        }
+        let mut whole = carla_proc(true, 8);
+        assert_eq!(events, whole.advance(20.0));
+        assert!(events.len() > 10, "{events:?}");
+        assert_eq!(sliced.states(), whole.states());
+    }
+
+    #[test]
+    fn module_states_follow_the_net_marking() {
+        // The process is the Fig. 3 net with names attached: its
+        // (H, C, N+R) counts are the stepper's marking on the same net and
+        // seed at every step, a forced failure included.
+        use crate::dspn::with_proactive_victims;
+        let cfg = ProcessConfig::carla(true);
+        let mut p = StateProcess::new(3, cfg, 13);
+        let mv = with_proactive_victims(3, &cfg.params, cfg.victims).expect("net");
+        let (pmh, pmc, pmf, pmr) = (mv.pmh, mv.pmc, mv.pmf, mv.pmr.expect("Fig. 3"));
+        let chain = SimConfig::default().max_immediate_chain;
+        let mut sim = Simulator::new(mv.net, 13, chain).expect("stepper");
+        let mut moved = 0;
+        for step in 0..4_000 {
+            let events = p.advance(0.05);
+            let fired = sim.advance(0.05).expect("advance");
+            let moving: Vec<f64> = fired
+                .iter()
+                .filter(|&&(_, t)| !matches!(sim.net().transition_name(t), "Trc" | "Tac"))
+                .map(|&(time, _)| time)
+                .collect();
+            assert_eq!(events.iter().map(|e| e.time).collect::<Vec<_>>(), moving);
+            if step % 500 == 250 {
+                if let Some(m) = p.states().iter().position(|s| s.is_operational()) {
+                    let from = if p.states()[m] == ModuleState::Healthy {
+                        pmh
+                    } else {
+                        pmc
+                    };
+                    assert!(p.report_failure(m));
+                    assert!(sim.force_move(from, pmf).expect("forced").is_empty());
+                    moved += 1;
+                }
+            }
+            let m = sim.marking();
+            let marked = (m[pmh] as usize, m[pmc] as usize, (m[pmf] + m[pmr]) as usize);
+            assert_eq!(p.state_counts(), marked, "step {step}");
+        }
+        assert!(moved > 4, "{moved} forced moves");
+    }
+
+    #[test]
     fn reactive_recovery_happens() {
         let mut p = carla_proc(false, 9);
         let events = p.advance(400.0);
@@ -519,43 +500,6 @@ mod tests {
         assert!(events
             .iter()
             .any(|e| matches!(e.event, StateEvent::Recovered { .. })));
-    }
-
-    #[test]
-    fn empirical_occupancy_matches_dspn_steady_state() {
-        // The whole point of the single-server alignment: the empirical
-        // process and the Fig. 3 DSPN describe the same system. Compare the
-        // long-run healthy-count distribution against the analytic steady
-        // state.
-        use crate::dspn::{with_proactive, SolveOptions};
-        use mvml_petri::{steady_state_with, ExpectedReward};
-
-        let params = SystemParams::carla_case_study();
-        let cfg = ProcessConfig::dspn_aligned(params, true);
-        let mut p = StateProcess::new(3, cfg, 5);
-        let mut time_h: [f64; 4] = [0.0; 4];
-        let step = 0.02;
-        let total_t = 30_000.0;
-        let mut t = 0.0;
-        while t < total_t {
-            let _ = p.advance(step);
-            time_h[p.state_counts().0] += step;
-            t += step;
-        }
-        let empirical: Vec<f64> = time_h.iter().map(|v| v / total_t).collect();
-
-        let mv = with_proactive(3, &params).expect("net");
-        let expanded = mvml_petri::erlang_expand(&mv.net, 32).expect("erlang");
-        let ss = steady_state_with(&expanded, &SolveOptions::default().solver).expect("solve");
-        let pmh = mv.pmh;
-        for h in 0..=3u32 {
-            let analytic = ss.probability(|m| m[pmh] == h);
-            assert!(
-                (empirical[h as usize] - analytic).abs() < 0.05,
-                "healthy={h}: empirical {} vs analytic {analytic}",
-                empirical[h as usize]
-            );
-        }
     }
 
     #[test]

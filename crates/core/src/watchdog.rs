@@ -6,9 +6,9 @@
 //! detection alone only protects the current frame. The [`Watchdog`] closes the runtime-assurance loop:
 //! repeated faults from the same module within a sliding frame window are
 //! escalated into a *reactive rejuvenation trigger*, so runtime misbehaviour
-//! drives the exact same recover-on-detect path
-//! ([`crate::rejuvenation::StateProcess::report_failure`] → repair at rate
-//! `μ`) the DSPN models predict for crashed modules.
+//! drives the exact same recover-on-detect path the DSPN models predict for
+//! crashed modules: [`crate::rejuvenation::StateProcess::report_failure`]
+//! moves its token into the net's `Pmf`, repaired by `Tr` at rate `μ`.
 
 use crate::error::SystemError;
 use serde::{Deserialize, Serialize};

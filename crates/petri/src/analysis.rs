@@ -99,6 +99,11 @@ pub enum FindingKind {
     /// The net admits no T-invariant: no firing sequence reproduces a
     /// marking, so no steady state exists.
     NoTInvariant,
+    /// A transition lies outside every T-invariant of a net that has some:
+    /// in a bounded run it fires only finitely often, so the net's recurrent
+    /// behaviour leaks out through it (a module lifecycle without its
+    /// repair, say).
+    UncoveredTransition,
 }
 
 impl fmt::Display for FindingKind {
@@ -112,6 +117,7 @@ impl fmt::Display for FindingKind {
             FindingKind::NoBoundCertificate => "no-bound-certificate",
             FindingKind::DisabledImmediate => "disabled-immediate",
             FindingKind::NoTInvariant => "no-t-invariant",
+            FindingKind::UncoveredTransition => "uncovered-transition",
         };
         write!(f, "{s}")
     }
@@ -558,6 +564,27 @@ pub fn analyze_with(net: &Net, opts: &AnalysisOptions) -> StructuralReport {
             message: "net admits no T-invariant: no firing sequence reproduces a marking, \
                       so a steady state cannot exist"
                 .to_string(),
+        });
+    }
+
+    // A transition that fires infinitely often in a bounded run lies in the
+    // support of a T-invariant (the firing counts between two visits of one
+    // marking form one); the minimal-support basis covers every support.
+    for (t, tr) in net.transitions.iter().enumerate() {
+        if t_invariants.is_empty() || dead[t] || t_invariants.iter().any(|i| i.covers(t)) {
+            continue;
+        }
+        findings.push(Finding {
+            kind: FindingKind::UncoveredTransition,
+            severity: Severity::Error,
+            places: Vec::new(),
+            transitions: vec![tr.name.clone()],
+            witness: Vec::new(),
+            message: format!(
+                "transition `{}` is in no T-invariant: it fires finitely often in any \
+                 bounded run, so no steady state involves it",
+                tr.name
+            ),
         });
     }
 
@@ -1291,6 +1318,33 @@ mod tests {
             .iter()
             .any(|f| f.kind == FindingKind::NoTInvariant));
         assert!(report.t_invariants.is_empty());
+    }
+
+    #[test]
+    fn transition_outside_every_t_invariant_flagged() {
+        // `leak` drains the `p`/`q` cycle into `sink`, which nothing empties.
+        let mut b = NetBuilder::new("leak");
+        let p = b.place("p", 2);
+        let q = b.place("q", 0);
+        let sink = b.place("sink", 0);
+        let go = b.exponential("go", 1.0);
+        let back = b.exponential("back", 1.0);
+        let leak = b.exponential("leak", 1.0);
+        b.input_arc(p, go, 1).unwrap();
+        b.output_arc(go, q, 1).unwrap();
+        b.input_arc(q, back, 1).unwrap();
+        b.output_arc(back, p, 1).unwrap();
+        b.input_arc(q, leak, 1).unwrap();
+        b.output_arc(leak, sink, 1).unwrap();
+        let report = b.build().unwrap().analyze();
+        assert!(!report.is_certified());
+        let uncovered: Vec<&Finding> = report
+            .findings
+            .iter()
+            .filter(|f| f.kind == FindingKind::UncoveredTransition)
+            .collect();
+        assert_eq!(uncovered.len(), 1, "{report}");
+        assert_eq!(uncovered[0].transitions, vec!["leak".to_string()]);
     }
 
     #[test]

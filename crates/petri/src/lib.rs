@@ -38,7 +38,8 @@
 //! * [`sim`] — a discrete-event Monte-Carlo simulator with warm-up deletion
 //!   and batch-means confidence intervals, used to cross-validate the
 //!   analytical solutions (the paper's Table V is itself produced "through
-//!   DSPN simulation").
+//!   DSPN simulation"), built on the [`Simulator`] stepper that also runs a
+//!   net as a live process.
 //! * [`solve`] — a [`SolutionMethod`] facade unifying the three backends
 //!   (dense / Gauss–Seidel / simulation); every solve reports which backend
 //!   ran and its residual via [`SolutionInfo`].
@@ -104,6 +105,6 @@ pub use model::{
 };
 pub use reach::{ReachOptions, ReachabilityGraph};
 pub use reward::ExpectedReward;
-pub use sim::{simulate, SimConfig, SimResult};
+pub use sim::{simulate, Firing, SimConfig, SimResult, Simulator};
 pub use solve::{solve_graph, solve_steady, Backend, Solution, SolutionInfo, SolutionMethod};
 pub use transient::{transient, TransientSolution};

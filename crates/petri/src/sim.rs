@@ -7,17 +7,19 @@
 //! exponential transitions (valid by memorylessness). Immediate transitions
 //! fire in zero time, selected by priority and then weight.
 //!
-//! Steady-state estimates use warm-up deletion plus the method of batch
-//! means: the post-warm-up horizon is split into equal batches whose means
-//! provide a confidence interval.
+//! [`Simulator`] is the token game stepped through time; [`simulate`]
+//! plays it to a horizon for steady-state estimates, with warm-up deletion
+//! plus the method of batch means: the post-warm-up horizon is split into
+//! equal batches whose means provide a confidence interval.
 
 use crate::enabling::{effective_rate, enabled_immediates, enabled_timed, fire};
 use crate::error::PetriError;
 use crate::marking::Marking;
-use crate::model::{Net, Timing};
+use crate::model::{Net, PlaceId, Timing, TransitionId};
 use crate::reward::ExpectedReward;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 /// Configuration for [`simulate`].
@@ -133,6 +135,211 @@ fn sample_exp(rng: &mut StdRng, rate: f64) -> f64 {
     -(1.0 - u).ln() / rate
 }
 
+/// A timed transition firing: its absolute time and the transition.
+pub type Firing = (f64, TransitionId);
+
+/// The token game of a net stepped through time, for callers that run a net
+/// as a live process; [`simulate`] plays it to a horizon. The next timed
+/// firing is drawn once and kept until it fires, so the trajectory depends
+/// on the net and the seed alone, not on how [`Simulator::advance`] slices
+/// time; only [`Simulator::force_move`] draws it again.
+#[derive(Debug, Clone)]
+pub struct Simulator<N: Borrow<Net> = Net> {
+    net: N,
+    marking: Marking,
+    rng: StdRng,
+    max_immediate_chain: usize,
+    /// Time of the last firing or forced move.
+    changed_at: f64,
+    /// Time the game has been advanced to.
+    now: f64,
+    /// Enabling-memory timers of deterministic transitions, counted from
+    /// `changed_at`. Ordered so that a race between two equal residuals
+    /// resolves identically run-to-run.
+    det_remaining: BTreeMap<usize, f64>,
+    /// The race drawn at `changed_at`: delay and winner (`None` in a dead
+    /// marking); `None` until drawn.
+    race: Option<(f64, Option<usize>)>,
+    firings: u64,
+}
+
+impl<N: Borrow<Net>> Simulator<N> {
+    /// Starts the game at time 0 in the net's initial marking, firing the
+    /// immediate transitions it enables.
+    ///
+    /// # Errors
+    ///
+    /// [`PetriError::ImmediateLivelock`] if immediate transitions fire
+    /// `max_immediate_chain` times without time advancing.
+    pub fn new(net: N, seed: u64, max_immediate_chain: usize) -> Result<Self, PetriError> {
+        let mut sim = Simulator {
+            marking: net.borrow().initial_marking(),
+            net,
+            rng: StdRng::seed_from_u64(seed),
+            max_immediate_chain,
+            changed_at: 0.0,
+            now: 0.0,
+            det_remaining: BTreeMap::new(),
+            race: None,
+            firings: 0,
+        };
+        sim.fire_immediates(&mut Vec::new())?;
+        Ok(sim)
+    }
+
+    /// The net being played.
+    pub fn net(&self) -> &Net {
+        self.net.borrow()
+    }
+
+    /// The current marking.
+    pub fn marking(&self) -> &Marking {
+        &self.marking
+    }
+
+    /// The time the game has been advanced to.
+    pub fn time(&self) -> f64 {
+        self.now
+    }
+
+    /// Advances the game by `dt`, returning every firing (timed, then the
+    /// immediates it enabled) in chronological order. A firing exactly at
+    /// the new time is included.
+    ///
+    /// # Errors
+    ///
+    /// * [`PetriError::InvalidParameter`] for a negative or non-finite
+    ///   `dt`, or a non-positive marking-dependent rate.
+    /// * [`PetriError::ImmediateLivelock`] as in [`Simulator::new`].
+    pub fn advance(&mut self, dt: f64) -> Result<Vec<Firing>, PetriError> {
+        if !dt.is_finite() || dt < 0.0 {
+            return Err(PetriError::InvalidParameter {
+                what: format!("advance by {dt}"),
+            });
+        }
+        let deadline = self.now + dt;
+        let mut fired = Vec::new();
+        while self.next_change()? <= deadline {
+            self.fire_next(&mut fired)?;
+        }
+        self.now = deadline;
+        Ok(fired)
+    }
+
+    /// Moves one token from `from` to `to` now, outside the net's
+    /// transitions (an external intervention such as a detected failure).
+    /// Enabling-memory timers keep their elapsed time, the race is drawn
+    /// again, and the immediate transitions the move enables fire at once;
+    /// their firings are returned.
+    ///
+    /// # Errors
+    ///
+    /// * [`PetriError::InvalidParameter`] if `from` holds no token.
+    /// * [`PetriError::ImmediateLivelock`] as in [`Simulator::new`].
+    pub fn force_move(&mut self, from: PlaceId, to: PlaceId) -> Result<Vec<Firing>, PetriError> {
+        if self.marking[from] == 0 {
+            let what = format!("no token to move from `{}`", self.net().place_name(from));
+            return Err(PetriError::InvalidParameter { what });
+        }
+        let elapsed = self.now - self.changed_at;
+        for remaining in self.det_remaining.values_mut() {
+            *remaining -= elapsed;
+        }
+        self.changed_at = self.now;
+        self.marking.set(from.0, self.marking[from] - 1);
+        self.marking.set(to.0, self.marking[to] + 1);
+        self.race = None;
+        let mut fired = Vec::new();
+        self.fire_immediates(&mut fired)?;
+        Ok(fired)
+    }
+
+    /// Absolute time of the next timed firing (infinite in a dead
+    /// marking), drawing the race first if it is not drawn yet.
+    fn next_change(&mut self) -> Result<f64, PetriError> {
+        if let Some((delay, _)) = self.race {
+            return Ok(self.changed_at + delay);
+        }
+        let net = self.net.borrow();
+        let timed = enabled_timed(net, &self.marking);
+        // Seed timers for newly-enabled deterministic transitions and drop
+        // timers for disabled ones.
+        self.det_remaining.retain(|tid, _| timed.contains(tid));
+        for &tid in &timed {
+            if let Timing::Deterministic { delay } = net.transitions[tid].timing {
+                self.det_remaining.entry(tid).or_insert(delay);
+            }
+        }
+        // Race: earliest event wins.
+        let mut winner = None;
+        let mut min_delay = f64::INFINITY;
+        for &tid in &timed {
+            let delay = match &net.transitions[tid].timing {
+                Timing::Exponential { .. } => {
+                    let rate = effective_rate(net, tid, &self.marking).expect("exponential");
+                    if !rate.is_finite() || rate <= 0.0 {
+                        return Err(PetriError::InvalidParameter {
+                            what: format!(
+                                "rate {rate} of `{}` in marking {}",
+                                net.transitions[tid].name, self.marking
+                            ),
+                        });
+                    }
+                    sample_exp(&mut self.rng, rate)
+                }
+                Timing::Deterministic { .. } => self.det_remaining[&tid],
+                Timing::Immediate { .. } => unreachable!(),
+            };
+            if delay < min_delay {
+                min_delay = delay;
+                winner = Some(tid);
+            }
+        }
+        self.race = Some((min_delay, winner));
+        Ok(self.changed_at + min_delay)
+    }
+
+    /// Fires the drawn race's winner and the immediates it enables.
+    fn fire_next(&mut self, fired: &mut Vec<Firing>) -> Result<(), PetriError> {
+        let Some((delay, Some(winner))) = self.race.take() else {
+            unreachable!("only a drawn, finite race fires");
+        };
+        self.changed_at += delay;
+        for remaining in self.det_remaining.values_mut() {
+            *remaining -= delay;
+        }
+        self.det_remaining.remove(&winner);
+        self.marking = fire(self.net.borrow(), winner, &self.marking);
+        self.firings += 1;
+        fired.push((self.changed_at, TransitionId(winner)));
+        self.fire_immediates(fired)
+    }
+
+    fn fire_immediates(&mut self, fired: &mut Vec<Firing>) -> Result<(), PetriError> {
+        let net = self.net.borrow();
+        for _ in 0..self.max_immediate_chain {
+            let enabled = enabled_immediates(net, &self.marking);
+            if enabled.is_empty() {
+                return Ok(());
+            }
+            let total: f64 = enabled.iter().map(|&(_, w)| w).sum();
+            let mut pick = self.rng.random::<f64>() * total;
+            let mut chosen = enabled[enabled.len() - 1].0;
+            for &(tid, w) in &enabled {
+                if pick < w {
+                    chosen = tid;
+                    break;
+                }
+                pick -= w;
+            }
+            self.marking = fire(net, chosen, &self.marking);
+            self.firings += 1;
+            fired.push((self.changed_at, TransitionId(chosen)));
+        }
+        Err(PetriError::ImmediateLivelock)
+    }
+}
+
 /// Runs a discrete-event simulation of `net`.
 ///
 /// # Errors
@@ -158,35 +365,13 @@ pub fn simulate(net: &Net, cfg: &SimConfig) -> Result<SimResult, PetriError> {
         });
     }
 
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
     let observed = cfg.horizon - cfg.warmup;
     let batch_len = observed / cfg.batches as f64;
 
     let mut occupancy: BTreeMap<Marking, f64> = BTreeMap::new();
     let mut batch_occupancy: Vec<BTreeMap<Marking, f64>> = vec![BTreeMap::new(); cfg.batches];
-    let mut firings: u64 = 0;
 
-    let mut marking = net.initial_marking();
-    fire_immediates(
-        net,
-        &mut marking,
-        &mut rng,
-        cfg.max_immediate_chain,
-        &mut firings,
-    )?;
-
-    // Enabling-memory timers for deterministic transitions. Ordered map:
-    // `values_mut` iteration feeds timer decrements, and a race between two
-    // deterministic transitions with exactly equal residuals must resolve
-    // identically run-to-run.
-    let mut det_remaining: BTreeMap<usize, f64> = BTreeMap::new();
-
-    let mut t = 0.0f64;
-    let accumulate = |marking: &Marking,
-                      from: f64,
-                      to: f64,
-                      occupancy: &mut BTreeMap<Marking, f64>,
-                      batch_occupancy: &mut Vec<BTreeMap<Marking, f64>>| {
+    let mut accumulate = |marking: &Marking, from: f64, to: f64| {
         let a = from.max(cfg.warmup);
         let b = to.min(cfg.horizon);
         if b <= a {
@@ -204,76 +389,18 @@ pub fn simulate(net: &Net, cfg: &SimConfig) -> Result<SimResult, PetriError> {
         }
     };
 
-    while t < cfg.horizon {
-        let timed = enabled_timed(net, &marking);
-        if timed.is_empty() {
-            // Dead (absorbing) marking: stay here until the horizon.
-            accumulate(
-                &marking,
-                t,
-                cfg.horizon,
-                &mut occupancy,
-                &mut batch_occupancy,
-            );
-            break;
-        }
-
-        // Seed timers for newly-enabled deterministic transitions and drop
-        // timers for disabled ones.
-        det_remaining.retain(|&tid, _| timed.contains(&tid));
-        for &tid in &timed {
-            if let Timing::Deterministic { delay } = net.transitions[tid].timing {
-                det_remaining.entry(tid).or_insert(delay);
-            }
-        }
-
-        // Race: earliest event wins.
-        let mut winner = usize::MAX;
-        let mut min_delay = f64::INFINITY;
-        for &tid in &timed {
-            let delay = match &net.transitions[tid].timing {
-                Timing::Exponential { .. } => {
-                    let rate = effective_rate(net, tid, &marking).expect("exponential");
-                    if !rate.is_finite() || rate <= 0.0 {
-                        return Err(PetriError::InvalidParameter {
-                            what: format!(
-                                "rate {rate} of `{}` in marking {marking}",
-                                net.transitions[tid].name
-                            ),
-                        });
-                    }
-                    sample_exp(&mut rng, rate)
-                }
-                Timing::Deterministic { .. } => det_remaining[&tid],
-                Timing::Immediate { .. } => unreachable!(),
-            };
-            if delay < min_delay {
-                min_delay = delay;
-                winner = tid;
-            }
-        }
-
-        let next_t = t + min_delay;
-        accumulate(&marking, t, next_t, &mut occupancy, &mut batch_occupancy);
+    let mut sim = Simulator::new(net, cfg.seed, cfg.max_immediate_chain)?;
+    let mut fired = Vec::new();
+    while sim.changed_at < cfg.horizon {
+        // A dead (absorbing) marking never changes: it is held until the
+        // horizon.
+        let next_t = sim.next_change()?;
+        accumulate(sim.marking(), sim.changed_at, next_t);
         if next_t >= cfg.horizon {
             break;
         }
-        t = next_t;
-
-        for remaining in det_remaining.values_mut() {
-            *remaining -= min_delay;
-        }
-        det_remaining.remove(&winner);
-
-        marking = fire(net, winner, &marking);
-        firings += 1;
-        fire_immediates(
-            net,
-            &mut marking,
-            &mut rng,
-            cfg.max_immediate_chain,
-            &mut firings,
-        )?;
+        fired.clear();
+        sim.fire_next(&mut fired)?;
     }
 
     // Normalise to fractions.
@@ -290,36 +417,8 @@ pub fn simulate(net: &Net, cfg: &SimConfig) -> Result<SimResult, PetriError> {
         occupancy,
         batch_occupancy,
         observed_time: observed,
-        firings,
+        firings: sim.firings,
     })
-}
-
-fn fire_immediates(
-    net: &Net,
-    marking: &mut Marking,
-    rng: &mut StdRng,
-    max_chain: usize,
-    firings: &mut u64,
-) -> Result<(), PetriError> {
-    for _ in 0..max_chain {
-        let enabled = enabled_immediates(net, marking);
-        if enabled.is_empty() {
-            return Ok(());
-        }
-        let total: f64 = enabled.iter().map(|&(_, w)| w).sum();
-        let mut pick = rng.random::<f64>() * total;
-        let mut chosen = enabled[enabled.len() - 1].0;
-        for &(tid, w) in &enabled {
-            if pick < w {
-                chosen = tid;
-                break;
-            }
-            pick -= w;
-        }
-        *marking = fire(net, chosen, marking);
-        *firings += 1;
-    }
-    Err(PetriError::ImmediateLivelock)
 }
 
 #[cfg(test)]
@@ -498,6 +597,79 @@ mod tests {
         .unwrap();
         let q_id = net.place_by_name("q").unwrap();
         assert!(res.probability(|m| m[q_id] == 1) > 0.99);
+    }
+
+    /// A clock `tick` (deterministic) feeding a choice between two
+    /// immediates, racing an exponential up/down pair.
+    fn clocked() -> Net {
+        let mut b = NetBuilder::new("clocked");
+        let up = b.place("up", 1);
+        let down = b.place("down", 0);
+        let clock = b.place("clock", 1);
+        let fired = b.place("fired", 0);
+        let fail = b.exponential("fail", 0.7);
+        let repair = b.exponential("repair", 1.3);
+        let tick = b.deterministic("tick", 0.4);
+        let left = b.immediate_with("left", 1, 1.0);
+        let right = b.immediate_with("right", 1, 2.0);
+        b.input_arc(up, fail, 1).unwrap();
+        b.output_arc(fail, down, 1).unwrap();
+        b.input_arc(down, repair, 1).unwrap();
+        b.output_arc(repair, up, 1).unwrap();
+        b.input_arc(clock, tick, 1).unwrap();
+        b.output_arc(tick, fired, 1).unwrap();
+        for t in [left, right] {
+            b.input_arc(fired, t, 1).unwrap();
+            b.output_arc(t, clock, 1).unwrap();
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn stepper_trajectory_does_not_depend_on_slicing() {
+        let net = clocked();
+        let mut whole = Simulator::new(&net, 21, 100).unwrap();
+        let all = whole.advance(20.0).unwrap();
+        let mut sliced = Simulator::new(&net, 21, 100).unwrap();
+        let mut parts = Vec::new();
+        for _ in 0..400 {
+            parts.extend(sliced.advance(0.05).unwrap());
+        }
+        assert_eq!(parts, all);
+        assert_eq!(sliced.marking(), whole.marking());
+        // Every tick is followed at once by one of the two immediates.
+        let tick = net.transition_by_name("tick").unwrap();
+        let ticks: Vec<usize> = (0..all.len()).filter(|&i| all[i].1 == tick).collect();
+        assert_eq!(ticks.len(), 50);
+        for i in ticks {
+            assert_eq!(all[i + 1].0, all[i].0);
+            assert!(matches!(
+                net.transition_name(all[i + 1].1),
+                "left" | "right"
+            ));
+        }
+        assert!(whole.advance(-1.0).is_err());
+    }
+
+    #[test]
+    fn forced_move_keeps_clock_memory_and_redraws_the_race() {
+        let net = clocked();
+        let (up, down) = (
+            net.place_by_name("up").unwrap(),
+            net.place_by_name("down").unwrap(),
+        );
+        let mut sim = Simulator::new(&net, 5, 100).unwrap();
+        let _ = sim.advance(0.25).unwrap();
+        let from = if sim.marking()[up] == 1 { up } else { down };
+        let to = if from == up { down } else { up };
+        assert!(sim.force_move(from, to).unwrap().is_empty());
+        assert_eq!(sim.marking()[to], 1);
+        assert!(sim.force_move(from, to).is_err(), "`from` is empty now");
+        // The clock keeps the 0.25 it has run: it still ticks at 0.4.
+        let tick = net.transition_by_name("tick").unwrap();
+        let fired = sim.advance(0.2).unwrap();
+        let first_tick = fired.iter().find(|&&(_, t)| t == tick).unwrap();
+        assert!((first_tick.0 - 0.4).abs() < 1e-12, "{fired:?}");
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! verdict, module states, fault events and MAC count, and the final fault
 //! log, are folded into one FNV-1a hash and compared with a pinned
 //! constant. Any change to the module boundary (fault containment, the
-//! stale buffer, the sanitizer, watchdog escalation, event order) or to the
-//! sensor-noise stream moves it. The hash must not depend on the thread
-//! count of the detector fan-out.
+//! stale buffer, the sanitizer, watchdog escalation, event order), to the
+//! sensor-noise stream or to the health process (the Fig. 3 net it plays)
+//! moves it. The hash must not depend on the thread count of the detector
+//! fan-out.
 
 use resilient_perception::avsim::bev::rasterize;
 use resilient_perception::avsim::detector::{yolo_mini, DetectorTrainConfig, VARIANTS};
@@ -15,12 +16,12 @@ use resilient_perception::avsim::geometry::Vec2;
 use resilient_perception::avsim::world::ObjectTruth;
 use resilient_perception::avsim::{DetectorBank, MultiVersionPerception, PerceptionConfig};
 use resilient_perception::faultinject::{CorruptionMode, RuntimeFault, RuntimeFaultPlan};
-use resilient_perception::mvml::rejuvenation::ProcessConfig;
+use resilient_perception::mvml::rejuvenation::{ProcessConfig, VictimRule};
 use resilient_perception::mvml::SystemParams;
 use resilient_perception::nn::exec::{current, scoped, Exec, Tuning};
 
 /// The pinned hash of [`run`].
-const PINNED: u64 = 0xe27f_f394_e85f_c02e;
+const PINNED: u64 = 0x73c3_f3f6_727a_ccb3;
 
 /// FNV-1a (64-bit), fed string by string.
 struct Fnv(u64);
@@ -77,9 +78,7 @@ fn process() -> ProcessConfig {
             ..SystemParams::carla_case_study()
         },
         proactive: true,
-        compromised_priority: 2.0 / 3.0,
-        proportional_selection: false,
-        per_module_clocks: true,
+        victims: VictimRule::Priority(2.0 / 3.0),
     }
 }
 

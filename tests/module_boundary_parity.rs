@@ -13,7 +13,7 @@ use resilient_perception::avsim::detector::{yolo_mini, VARIANTS};
 use resilient_perception::avsim::geometry::Vec2;
 use resilient_perception::avsim::{DetectorBank, MultiVersionPerception, PerceptionConfig};
 use resilient_perception::faultinject::{CorruptionMode, RuntimeFault, RuntimeFaultPlan};
-use resilient_perception::mvml::rejuvenation::ProcessConfig;
+use resilient_perception::mvml::rejuvenation::{ProcessConfig, VictimRule};
 use resilient_perception::mvml::watchdog::{FaultEventKind, WatchdogConfig};
 use resilient_perception::mvml::{NVersionSystem, SystemParams};
 use resilient_perception::nn::{Sequential, Tensor};
@@ -45,9 +45,7 @@ fn frozen_process() -> ProcessConfig {
             ..SystemParams::carla_case_study()
         },
         proactive: false,
-        compromised_priority: 2.0 / 3.0,
-        proportional_selection: false,
-        per_module_clocks: true,
+        victims: VictimRule::Priority(2.0 / 3.0),
     }
 }
 

@@ -7,7 +7,7 @@ use resilient_perception::avsim::detector::{train_detector, yolo_mini, DetectorT
 use resilient_perception::avsim::runner::{run_route, RunConfig};
 use resilient_perception::avsim::town::{all_routes, route};
 use resilient_perception::avsim::DetectorBank;
-use resilient_perception::mvml::rejuvenation::ProcessConfig;
+use resilient_perception::mvml::rejuvenation::{ProcessConfig, VictimRule};
 use resilient_perception::mvml::SystemParams;
 
 /// A moderately trained bank — good enough for near-zero healthy skip rate.
@@ -41,9 +41,7 @@ fn healthy_process() -> ProcessConfig {
             ..SystemParams::carla_case_study()
         },
         proactive: false,
-        compromised_priority: 2.0 / 3.0,
-        proportional_selection: false,
-        per_module_clocks: true,
+        victims: VictimRule::Priority(2.0 / 3.0),
     }
 }
 
