@@ -18,31 +18,24 @@
 //! therefore fans out only over that job's slice of the cores, and nested
 //! fan-outs never ask for more threads than the outermost budget.
 //!
-//! Thread count and kernel never change a computed value — the GEMM and
-//! every parallel loop are bitwise-identical across both — and neither do
-//! the GEMM fields of [`Tuning`]. Its three `conv_gemm_min_*` fields do:
-//! they route convolutions between two summation orders (see [`Tuning`]).
-//! Reads are lock-free while no scope is active.
+//! Nothing in the context changes a computed value: the GEMM, the direct
+//! convolution kernels and every parallel loop are bitwise-identical
+//! across thread counts, kernels and [`Tuning`]s. Reads are lock-free
+//! while no scope is active.
 
 use crate::gemm::{available_kernels, Kernel};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
-/// The GEMM blocking and the [`crate::layers::Conv2d`] `Auto` route.
+/// The GEMM blocking.
 ///
 /// The process default is [`Tuning::default`]; only a [`scoped`] override
-/// installs another (tests force tiny blocks, the packed path or an
-/// all-GEMM route with it).
+/// installs another (tests force tiny blocks or the packed path with it).
 ///
-/// `mc`, `nc`, `stream_max_rows` and `parallel_macs` never change a
-/// computed value: the per-element accumulation order is pinned by the
-/// fixed `KC` constant and the KC-blocked loop order in [`crate::gemm`]
-/// (see its determinism note). The three `conv_gemm_min_*` fields do: they
-/// choose between the GEMM and the direct loops, which sum each output in
-/// different orders, so moving a threshold across a layer's shape trains
-/// different weights. Route changes are source changes, with the pinned
-/// weight hashes re-pinned.
+/// No field changes a computed value: the per-element accumulation order
+/// is pinned by the fixed `KC` constant and the KC-blocked loop order in
+/// [`crate::gemm`] (see its determinism note).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Tuning {
     /// Rows of packed `A` per cache block (`MC`).
@@ -60,13 +53,6 @@ pub struct Tuning {
     /// while square products gained from ~11M MACs (0.70× at 134M). The
     /// default, 2^24, keeps the models' products on one thread.
     pub parallel_macs: usize,
-    /// `Conv2d` `Auto` lowers to GEMM only when `out_channels` is at
-    /// least this.
-    pub conv_gemm_min_oc: usize,
-    /// ... and the im2col row count `C·K·K` is at least this.
-    pub conv_gemm_min_ckk: usize,
-    /// ... and the total MACs `OC·CKK·cols` are at least this.
-    pub conv_gemm_min_macs: usize,
 }
 
 impl Default for Tuning {
@@ -76,9 +62,6 @@ impl Default for Tuning {
             nc: 256,
             stream_max_rows: 8,
             parallel_macs: 1 << 24,
-            conv_gemm_min_oc: 12,
-            conv_gemm_min_ckk: 32,
-            conv_gemm_min_macs: 1 << 18,
         }
     }
 }
@@ -90,7 +73,7 @@ pub struct Exec {
     pub threads: usize,
     /// The GEMM / int8 microkernel.
     pub kernel: Kernel,
-    /// Cache blocks and path/parallel thresholds.
+    /// Cache blocks and the GEMM's path/parallel thresholds.
     pub tuning: Tuning,
 }
 

@@ -26,9 +26,9 @@
 //!   [`crate::exec::Tuning::stream_max_rows`] output rows, every packed
 //!   `B` panel would be used once — pure overhead. The microkernel instead
 //!   reads `B` directly at row stride `n`, and threads fan out over
-//!   *column ranges* of `C`. This is the shape class of inference-time
-//!   im2col convolutions (`M` = a handful of output channels), where the
-//!   old always-pack kernel lost to the direct loops.
+//!   *column ranges* of `C`. This is the shape class of small-batch dense
+//!   layers (`M` = the batch: one row per served image at batch 1), where
+//!   packing `B` costs more than the product.
 //!
 //! Three orientations cover every product the layers need without ever
 //! materializing a transpose:
@@ -37,11 +37,9 @@
 //! - [`gemm_tn`] / [`gemm_tn_acc`]: `C (+)= Aᵀ·B`
 //! - [`gemm_nt`] / [`gemm_nt_acc`]: `C (+)= A·Bᵀ`
 //!
-//! Each transposed orientation serves both gradient roles, depending on
-//! how the layer stores its operands: a convolution's input gradient is
-//! `Wᵀ·dY` (`gemm_tn`) and its weight gradient `dY·colᵀ` (`gemm_nt_acc`),
-//! while a dense layer's weight gradient is `Xᵀ·dY` (`gemm_tn_acc`) and its
-//! input gradient `dY·Wᵀ` (`gemm_nt`).
+//! Which orientation a gradient needs depends on how the layer stores its
+//! operands: a dense layer's weight gradient is `Xᵀ·dY` (`gemm_tn_acc`)
+//! and its input gradient `dY·Wᵀ` (`gemm_nt`).
 //!
 //! ## Determinism
 //!

@@ -91,11 +91,21 @@ pub trait Layer: Send + Sync {
     /// (conv/dense) layers in a [`crate::model::Sequential`] stack.
     fn as_any(&self) -> &dyn std::any::Any;
 
+    /// Lends the layer an allocation to refill with its next output or
+    /// input gradient, instead of allocating (and page-faulting) a fresh
+    /// one. In training, [`crate::model::Sequential`] lends each layer,
+    /// just before it runs, an allocation of an activation or gradient
+    /// that another layer has finished reading. The default drops it.
+    fn lend(&mut self, buffer: Vec<f32>) {
+        drop(buffer);
+    }
+
     /// Drops what only training reads: the caches of the last
-    /// `forward(…, train = true)` and the gradient accumulators. The
-    /// parameters are untouched, so inference gives the same bits; the
-    /// next training forward re-creates the accumulators as zeros. The
-    /// default does nothing (a layer that caches nothing).
+    /// `forward(…, train = true)`, an allocation lent through
+    /// [`Layer::lend`] and not yet refilled, and the gradient accumulators. The parameters
+    /// are untouched, so inference gives the same bits; the next training
+    /// forward re-creates the accumulators as zeros. The default does
+    /// nothing (a layer that caches nothing).
     fn release_training_state(&mut self) {}
 
     /// Zeroes all gradient accumulators (none are held outside training).
@@ -104,6 +114,15 @@ pub trait Layer: Send + Sync {
             p.grads.fill(0.0);
         }
     }
+}
+
+/// The allocation `lent` holds (see [`Layer::lend`]), emptied and with
+/// room for `len` values, leaving `lent` empty.
+pub(crate) fn refill(lent: &mut Vec<f32>, len: usize) -> Vec<f32> {
+    let mut buf = std::mem::take(lent);
+    buf.clear();
+    buf.reserve(len);
+    buf
 }
 
 impl Clone for Box<dyn Layer> {

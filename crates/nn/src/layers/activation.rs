@@ -1,6 +1,6 @@
 //! Elementwise activation layers.
 
-use crate::layer::Layer;
+use crate::layer::{refill, Layer};
 use crate::tensor::Tensor;
 
 /// Rectified linear unit: `y = max(0, x)`.
@@ -12,6 +12,9 @@ pub struct Relu {
     /// `x > 0` per element of the last training forward, in the previous
     /// step's buffer.
     cached_mask: Vec<bool>,
+    /// An allocation lent through [`Layer::lend`], for the next output or
+    /// input gradient to refill.
+    lent: Vec<f32>,
 }
 
 impl Relu {
@@ -29,22 +32,23 @@ impl Layer for Relu {
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
         let relu = |v: f32| if v < 0.0 { 0.0 } else { v };
         let xs = x.as_slice();
-        let mut y = Tensor::zeros(x.shape());
+        let mut y = refill(&mut self.lent, xs.len());
+        y.resize(xs.len(), 0.0);
         if train {
             let mut mask = std::mem::take(&mut self.cached_mask);
             mask.clear();
             mask.resize(xs.len(), false);
-            for ((out, keep), &v) in y.as_mut_slice().iter_mut().zip(&mut mask).zip(xs) {
+            for ((out, keep), &v) in y.iter_mut().zip(&mut mask).zip(xs) {
                 *out = relu(v);
                 *keep = v > 0.0;
             }
             self.cached_mask = mask;
         } else {
-            for (out, &v) in y.as_mut_slice().iter_mut().zip(xs) {
+            for (out, &v) in y.iter_mut().zip(xs) {
                 *out = relu(v);
             }
         }
-        y
+        Tensor::from_vec(x.shape(), y)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -57,20 +61,24 @@ impl Layer for Relu {
             self.cached_mask.len(),
             "gradient does not match the forward's shape"
         );
-        let mut g = Tensor::zeros(grad_out.shape());
-        for ((out, &v), &keep) in g
-            .as_mut_slice()
-            .iter_mut()
-            .zip(grad_out.as_slice())
-            .zip(&self.cached_mask)
-        {
-            *out = if keep { v } else { 0.0 };
-        }
-        g
+        let mut g = refill(&mut self.lent, grad_out.len());
+        g.extend(
+            grad_out
+                .as_slice()
+                .iter()
+                .zip(&self.cached_mask)
+                .map(|(&v, &keep)| if keep { v } else { 0.0 }),
+        );
+        Tensor::from_vec(grad_out.shape(), g)
+    }
+
+    fn lend(&mut self, buffer: Vec<f32>) {
+        self.lent = buffer;
     }
 
     fn release_training_state(&mut self) {
         self.cached_mask = Vec::new();
+        self.lent = Vec::new();
     }
 
     fn output_shape(&self, input: &[usize]) -> Vec<usize> {

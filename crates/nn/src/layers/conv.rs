@@ -1,45 +1,34 @@
 //! 2-D convolution (stride 1, symmetric zero padding).
 //!
-//! Two kernel implementations share one layer:
+//! Every layer, in training and in inference, runs the direct loops over a
+//! zero-padded input. Three kernels:
 //!
-//! - **GEMM path** (default for channel-rich, work-heavy shapes): lowers the
-//!   whole batch to one im2col patch matrix `[C·K·K, N·OH·OW]` and computes
-//!   all output channels with a single cache-blocked [`crate::gemm`] call.
-//!   The backward pass reuses the cached patch matrix — `dW` is a
-//!   `dy · colᵀ` product and the input gradient is a `Wᵀ · dy` product
-//!   scattered back (col2im) — and the next training forward refills that
-//!   matrix's allocation.
-//! - **Direct path** (default for few output channels or a shallow
-//!   reduction): loops over a zero-padded input. It is the production
-//!   training kernel for every detector layer and for the `lenet`/`alexnet`
-//!   stems, and what [`Conv2d::set_kernel_path`] forces. Three kernels:
-//!   - the forward ([`forward_rows`]) and the input gradient
-//!     ([`input_grad_rows`]) keep a block of `ROWS` output rows × a segment
-//!     of up to `SEG` lanes in registers while they walk every tap, so each
-//!     output value is read and written once, not once per tap. Segments
-//!     cover any width; the last one may be partial, its spare lanes
-//!     computed on padding and dropped;
-//!   - the weight and bias gradients run the sums of up to 16 images side
-//!     by side as SIMD lanes ([`weight_grad_block`]).
+//! - the forward ([`forward_rows`]) and the input gradient
+//!   ([`input_grad_rows`]) keep a block of `ROWS` output rows × a segment
+//!   of up to `SEG` lanes in registers while they walk every tap, so each
+//!   output value is read and written once, not once per tap. Segments
+//!   cover any width; the last one may be partial, its spare lanes
+//!   computed on padding and dropped;
+//! - the weight and bias gradients run the sums of up to 16 images side by
+//!   side as SIMD lanes ([`weight_grad_block`]).
 //!
-//!   These loops are the reference every GEMM kernel but one runs. When
-//!   the execution context's kernel is [`crate::gemm::Kernel::Avx512`], as
-//!   in `nn::gemm`, the direct path runs one hand-written AVX-512F kernel
-//!   per loop nest instead ([`avx512`]): the forward and the input
-//!   gradient share a row-block kernel that keeps up to four channels'
-//!   blocks in registers, so each input load serves all of them; a full
-//!   16-image lane block of the weight gradient is one zmm register per
-//!   chain, the `K·K` taps of an input row advancing together; and the
-//!   image-minor lowering goes through 16×16 register transposes. The lane
-//!   buffers start on 64-byte boundaries, so no lane load straddles two
-//!   cache lines.
+//! These loops are the reference every GEMM kernel but one runs. When the
+//! execution context's kernel is [`crate::gemm::Kernel::Avx512`], as in
+//! `nn::gemm`, each loop nest runs one hand-written AVX-512F kernel
+//! instead ([`avx512`]): the forward and the input gradient share a
+//! row-block kernel that keeps up to four channels' blocks in registers,
+//! so each input load serves all of them (two rows to a vector on planes
+//! at most 8 wide); a full 16-image lane block of
+//! the weight gradient is one zmm register per chain, the `K·K` taps of an
+//! input row advancing together; and the image-minor lowering goes through
+//! 16×16 register transposes. The lane buffers start on 64-byte
+//! boundaries, so no lane load straddles two cache lines.
 //!
-//! Each path fixes the order in which every output element sums its
-//! terms, so each is bitwise deterministic for any thread count and SIMD
-//! width, and the AVX-512 kernels keep the reference loops' orders,
-//! separate multiply and add (never FMA), skipped zero-weight taps and
-//! masked lanes, so every kernel computes the same bits. The direct path's
-//! orders:
+//! Each output element sums its terms in one fixed order, so the layer is
+//! bitwise deterministic for any thread count and SIMD width, and the
+//! AVX-512 kernels keep the reference loops' orders, separate multiply and
+//! add (never FMA), skipped zero-weight taps and masked lanes, so every
+//! kernel computes the same bits. The orders:
 //!
 //! - forward: `y = bias`, then `+ w·x` over `(ic, ky, kx)`, zero weights
 //!   skipped (padding is read as `x = 0`);
@@ -53,61 +42,32 @@
 //!
 //! A training step that needs no input gradient (the first layer of a
 //! stack) calls [`Layer::backward_params`], which runs only the parameter
-//! half of the backward.
+//! half of the backward. A training step refills the previous step's
+//! image-minor input cache, and writes its output or input gradient into
+//! an allocation lent through [`Layer::lend`] when it has one.
 //!
-//! Both paths produce gradients verified against numerical differentiation;
-//! forward outputs agree to float tolerance (the two paths sum products in
-//! different orders, so results are not bitwise identical between paths).
-//! Which path a layer takes is therefore part of its trained bits: the
-//! `Auto` route thresholds ([`crate::exec::Tuning`]) change only in source,
-//! together with the pinned weight hashes.
+//! The gradients are verified against numerical differentiation, and
+//! `tests/conv_oracle.rs` compares every result with an im2col + GEMM
+//! oracle within a derived reassociation bound. The int8 path
+//! ([`crate::quant`]) still lowers to [`im2col`].
 
-use crate::gemm;
 use crate::init::he_normal;
-use crate::layer::{Layer, Param};
+use crate::layer::{refill, Layer, Param};
 use crate::tensor::Tensor;
 use rand::rngs::StdRng;
 
-/// Which convolution kernel [`Conv2d`] executes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum KernelPath {
-    /// Pick per shape: GEMM when the lowered matrix is chunky in every
-    /// dimension per the context's route thresholds
-    /// ([`crate::exec::Tuning::conv_gemm_min_oc`] /
-    /// [`crate::exec::Tuning::conv_gemm_min_ckk`] /
-    /// [`crate::exec::Tuning::conv_gemm_min_macs`]), direct loops
-    /// otherwise.
-    #[default]
-    Auto,
-    /// Always lower to im2col + GEMM.
-    Gemm,
-    /// Always run the direct loops.
-    Direct,
-}
-
-/// What `forward(train=true)` stashes for the backward pass. Caching the
-/// already-lowered buffer (instead of cloning the raw input) means backward
-/// never re-pads or re-lowers, and the layer holds no redundant copy of `x`.
+/// What `forward(train=true)` stashes for the backward pass: the
+/// zero-padded input in image-minor blocks, the layout the weight-gradient
+/// lanes read (see [`image_minor`]), from `xt[start..]`, and the input's
+/// batch and spatial dims. Backward never re-pads, and the layer holds no
+/// other copy of `x`.
 #[derive(Clone, Debug)]
-enum ConvCache {
-    /// GEMM path: per-image im2col patch matrices, `n * (C·K·K) * (OH·OW)`
-    /// values, plus the original spatial dims needed to shape the gradient.
-    Im2col {
-        col: Vec<f32>,
-        n: usize,
-        h: usize,
-        w: usize,
-    },
-    /// Direct path: the zero-padded input in image-minor blocks, the
-    /// layout the weight-gradient lanes read (see [`image_minor`]), from
-    /// `xt[start..]`.
-    Padded {
-        xt: Vec<f32>,
-        start: usize,
-        n: usize,
-        h: usize,
-        w: usize,
-    },
+struct ConvCache {
+    xt: Vec<f32>,
+    start: usize,
+    n: usize,
+    h: usize,
+    w: usize,
 }
 
 /// Images per lane block of the direct backward: the weight-gradient
@@ -187,14 +147,6 @@ thread_local! {
     /// than allocated per call. Every element read was written in the same
     /// call.
     static DY_BLOCK: std::cell::Cell<Vec<f32>> = const { std::cell::Cell::new(Vec::new()) };
-    /// The workspace of an inference GEMM forward, reused across calls and
-    /// layers on this thread: the patch matrix, which `im2col` rewrites,
-    /// and the `[OC, N·OH·OW]` product, which the `gemm` driver
-    /// overwrites. A training forward keeps its patch matrix in the
-    /// layer's cache for the backward and allocates its product, so no
-    /// thread holds training-sized buffers once training ends.
-    static GEMM_COL: std::cell::Cell<Vec<f32>> = const { std::cell::Cell::new(Vec::new()) };
-    static GEMM_OUT: std::cell::Cell<Vec<f32>> = const { std::cell::Cell::new(Vec::new()) };
 }
 
 /// A 2-D convolution over `[N, C, H, W]` inputs with stride 1 and symmetric
@@ -211,8 +163,10 @@ pub struct Conv2d {
     // `Layer::release_training_state`).
     grad_w: Vec<f32>,
     grad_b: Vec<f32>,
-    path: KernelPath,
     cache: Option<ConvCache>,
+    // An allocation lent through `Layer::lend`, for the next output or
+    // input gradient to refill.
+    lent: Vec<f32>,
 }
 
 impl Conv2d {
@@ -238,15 +192,9 @@ impl Conv2d {
             bias: Tensor::zeros(&[out_channels]),
             grad_w: Vec::new(),
             grad_b: Vec::new(),
-            path: KernelPath::default(),
             cache: None,
+            lent: Vec::new(),
         }
-    }
-
-    /// Forces the kernel choice (parity tests and benchmarks compare paths
-    /// on identical shapes; everything else should leave this at `Auto`).
-    pub fn set_kernel_path(&mut self, path: KernelPath) {
-        self.path = path;
     }
 
     /// Input channel count `C`.
@@ -279,24 +227,6 @@ impl Conv2d {
         &self.bias
     }
 
-    /// `cols` is the batched column count `N·OH·OW`. `Auto` lowers to GEMM
-    /// only when the context's tuning ([`crate::exec::current`]) says all
-    /// three thresholds hold: enough output rows that microkernel tiles
-    /// run full, enough reduction depth (`C·K·K`) to amortise the im2col
-    /// build, and enough total MACs to amortise the per-call buffers.
-    fn use_gemm(&self, ckk: usize, cols: usize) -> bool {
-        match self.path {
-            KernelPath::Gemm => true,
-            KernelPath::Direct => false,
-            KernelPath::Auto => {
-                let t = crate::exec::current().tuning;
-                self.out_channels >= t.conv_gemm_min_oc
-                    && ckk >= t.conv_gemm_min_ckk
-                    && self.out_channels * ckk * cols >= t.conv_gemm_min_macs
-            }
-        }
-    }
-
     fn out_hw(&self, h: usize, w: usize) -> (usize, usize) {
         (
             h + 2 * self.padding - self.kernel + 1,
@@ -304,187 +234,11 @@ impl Conv2d {
         )
     }
 
-    /// Scatters one image's slice of the batched patch-matrix gradient back
-    /// into its padded input gradient (col2im): overlapping receptive
-    /// fields accumulate. `colgrad` has row stride `cols`; image `img`
-    /// occupies columns `img·OH·OW ..`.
-    #[allow(clippy::too_many_arguments)]
-    fn col2im_add(
-        colgrad: &[f32],
-        cols: usize,
-        img: usize,
-        gipad_img: &mut [f32],
-        c: usize,
-        k: usize,
-        ph: usize,
-        pw: usize,
-        oh: usize,
-        ow: usize,
-    ) {
-        let ohow = oh * ow;
-        for ic in 0..c {
-            for ky in 0..k {
-                for kx in 0..k {
-                    let r = (ic * k + ky) * k + kx;
-                    for oy in 0..oh {
-                        let src = r * cols + img * ohow + oy * ow;
-                        let dst = ic * ph * pw + (oy + ky) * pw + kx;
-                        for (g, &v) in gipad_img[dst..dst + ow]
-                            .iter_mut()
-                            .zip(&colgrad[src..src + ow])
-                        {
-                            *g += v;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Copies the interior of the padded gradient back to `[N, C, H, W]`.
-    fn unpad(&self, gipad: &[f32], n: usize, c: usize, h: usize, w: usize) -> Tensor {
-        let p = self.padding;
-        let (ph, pw) = (h + 2 * p, w + 2 * p);
-        let mut grad_in = Tensor::zeros(&[n, c, h, w]);
-        let gi = grad_in.as_mut_slice();
-        for plane in 0..n * c {
-            for y in 0..h {
-                let src = plane * ph * pw + (y + p) * pw + p;
-                let dst = plane * h * w + y * w;
-                gi[dst..dst + w].copy_from_slice(&gipad[src..src + w]);
-            }
-        }
-        grad_in
-    }
-
-    /// GEMM forward: one batched product
-    /// `tmp[OC, N·OH·OW] = W[OC, C·K·K] · col`, then a contiguous
-    /// scatter-with-bias into the `[N, OC, OH, OW]` output layout. `col`
-    /// is refilled in place: a training call passes the previous step's
-    /// patch matrix, an inference call the thread's [`GEMM_COL`], and
-    /// takes `tmp` from [`GEMM_OUT`].
-    #[allow(clippy::too_many_arguments)]
-    fn forward_gemm(
-        &mut self,
-        x: &Tensor,
-        train: bool,
-        mut col: Vec<f32>,
-        n: usize,
-        c: usize,
-        h: usize,
-        w: usize,
-    ) -> Tensor {
-        let (oh, ow) = self.out_hw(h, w);
-        let (ckk, ohow) = (c * self.kernel * self.kernel, oh * ow);
-        let cols = n * ohow;
-        im2col(x, n, c, h, w, self.kernel, self.padding, &mut col);
-        let mut tmp = if train { Vec::new() } else { GEMM_OUT.take() };
-        tmp.resize(self.out_channels * cols, 0.0);
-        gemm::gemm(
-            self.out_channels,
-            ckk,
-            cols,
-            self.weight.as_slice(),
-            &col,
-            &mut tmp,
-        );
-        let mut out = Tensor::zeros(&[n, self.out_channels, oh, ow]);
-        let os = out.as_mut_slice();
-        let bs = self.bias.as_slice();
-        for img in 0..n {
-            for (oc, &bias) in bs.iter().enumerate() {
-                let src = &tmp[oc * cols + img * ohow..][..ohow];
-                let dst = &mut os[(img * self.out_channels + oc) * ohow..][..ohow];
-                for (o, &v) in dst.iter_mut().zip(src) {
-                    *o = v + bias;
-                }
-            }
-        }
-        if train {
-            self.cache = Some(ConvCache::Im2col { col, n, h, w });
-        } else {
-            GEMM_COL.set(col);
-            GEMM_OUT.set(tmp);
-        }
-        out
-    }
-
-    /// GEMM parameter gradients against the cached batched patch matrix:
-    /// `dW += dy · colᵀ` ([`gemm::gemm_nt_acc`]), one batched product over
-    /// all images. Returns `dy` regrouped to `[OC, N·OH·OW]` for
-    /// [`Conv2d::input_grad_gemm`].
-    fn param_grads_gemm(
-        &mut self,
-        grad_out: &Tensor,
-        col: &[f32],
-        n: usize,
-        h: usize,
-        w: usize,
-    ) -> Vec<f32> {
-        let (oh, ow) = self.out_hw(h, w);
-        let ckk = self.in_channels * self.kernel * self.kernel;
-        let ohow = oh * ow;
-        let cols = n * ohow;
-        let gs = grad_out.as_slice();
-        let gb = &mut self.grad_b;
-        // Regroup dy from [N, OC, OH·OW] to the batched GEMM layout
-        // [OC, N·OH·OW] (contiguous OH·OW runs), summing bias gradients on
-        // the way through.
-        let mut dy = vec![0.0f32; self.out_channels * cols];
-        for img in 0..n {
-            for (oc, gb_v) in gb.iter_mut().enumerate() {
-                let src = &gs[(img * self.out_channels + oc) * ohow..][..ohow];
-                *gb_v += src.iter().sum::<f32>();
-                dy[oc * cols + img * ohow..][..ohow].copy_from_slice(src);
-            }
-        }
-        gemm::gemm_nt_acc(self.out_channels, cols, ckk, &dy, col, &mut self.grad_w);
-        dy
-    }
-
-    /// GEMM input gradient: `dcol = Wᵀ · dy` ([`gemm::gemm_tn`]) over the
-    /// regrouped `dy` of [`Conv2d::param_grads_gemm`], scattered back via
-    /// col2im.
-    fn input_grad_gemm(&self, dy: &[f32], n: usize, h: usize, w: usize) -> Tensor {
-        let c = self.in_channels;
-        let (k, p) = (self.kernel, self.padding);
-        let (oh, ow) = self.out_hw(h, w);
-        let ckk = c * k * k;
-        let (ph, pw) = (h + 2 * p, w + 2 * p);
-        let cols = n * oh * ow;
-        let mut colgrad = vec![0.0f32; ckk * cols];
-        gemm::gemm_tn(
-            ckk,
-            self.out_channels,
-            cols,
-            self.weight.as_slice(),
-            dy,
-            &mut colgrad,
-        );
-        let mut gipad = vec![0.0f32; n * c * ph * pw];
-        for img in 0..n {
-            let gipad_img = &mut gipad[img * c * ph * pw..][..c * ph * pw];
-            Self::col2im_add(&colgrad, cols, img, gipad_img, c, k, ph, pw, oh, ow);
-        }
-        self.unpad(&gipad, n, c, h, w)
-    }
-
     /// Direct forward: per image, pads the input planes, with the spare
     /// rows and lanes that the last row block and segment read past the
     /// image, and runs [`forward_rows`] or its AVX-512 kernel (summation
-    /// order in the module docs). A training call caches the input for the
-    /// backward pass, in `spare`'s allocation.
-    #[allow(clippy::too_many_arguments)]
-    fn forward_direct(
-        &mut self,
-        x: &Tensor,
-        train: bool,
-        spare: Vec<f32>,
-        n: usize,
-        c: usize,
-        h: usize,
-        w: usize,
-    ) -> Tensor {
+    /// order in the module docs), appending to the lent allocation.
+    fn forward_direct(&mut self, x: &Tensor, [n, c, h, w]: [usize; 4]) -> Tensor {
         let (oh, ow) = self.out_hw(h, w);
         let (oc_n, k, p) = (self.out_channels, self.kernel, self.padding);
         let simd = simd();
@@ -503,7 +257,7 @@ impl Conv2d {
             #[cfg(target_arch = "x86_64")]
             Some(avx) => {
                 let taps = avx.forward_taps(weights, [oc_n, c, k], [ph, pw]);
-                let mut out = Vec::with_capacity(len);
+                let mut out = refill(&mut self.lent, len);
                 for xi in images {
                     avx.rows(
                         padded(xi, in_place, [h, w], p, [ph, pw], &mut xpad),
@@ -539,7 +293,7 @@ impl Conv2d {
                     16 => forward_rows::<16>,
                     _ => forward_rows::<SEG>,
                 };
-                let mut sink = PlaneSink::new(len, ow);
+                let mut sink = PlaneSink::new(refill(&mut self.lent, len), ow);
                 for xi in images {
                     let src = padded(xi, in_place, [h, w], p, [ph, pw], &mut xpad);
                     kernel(src, &taps, &ends, bias, pw, [oh, ow], &mut sink);
@@ -547,14 +301,7 @@ impl Conv2d {
                 sink.out
             }
         };
-        let out = Tensor::from_vec(&[n, oc_n, oh, ow], out);
-        if train {
-            // Only the weight gradient reads the input back, in lanes:
-            // cache it in that layout.
-            let (xt, start) = image_minor(x, [n, c, h, w], p, spare, simd);
-            self.cache = Some(ConvCache::Padded { xt, start, n, h, w });
-        }
-        out
+        Tensor::from_vec(&[n, oc_n, oh, ow], out)
     }
 
     /// Direct parameter gradients against the cached image-minor padded
@@ -630,7 +377,12 @@ impl Conv2d {
     /// and segments lands inside `dy` (`P ≥ K-1` and no spare rows or
     /// lanes) the window is `dy` itself; otherwise each image's `dy` is
     /// copied into a zero-bordered window in `ws` ([`dy_window`]).
-    fn input_grad_direct(&self, gs: &[f32], [n, h, w]: [usize; 3], ws: &mut Vec<f32>) -> Tensor {
+    fn input_grad_direct(
+        &mut self,
+        gs: &[f32],
+        [n, h, w]: [usize; 3],
+        ws: &mut Vec<f32>,
+    ) -> Tensor {
         let (oc_n, c, k, p) = (
             self.out_channels,
             self.in_channels,
@@ -661,11 +413,15 @@ impl Conv2d {
         let out = match simd {
             #[cfg(target_arch = "x86_64")]
             Some(avx) => {
-                // Per 16-lane vector and `kx`, one bit per lane inside; with
-                // `P ≥ K-1` every tap of a real input position lands inside
-                // the output, so no lane needs the select.
+                // Per 16-lane vector and `kx`, one bit per lane inside. No
+                // lane needs the select when every tap of a real input
+                // position lands inside the output (`P ≥ K-1`), nor when
+                // every weight is finite: a tap outside then adds `w·0 =
+                // ±0` to a sum that starts at `+0.0`, which never becomes
+                // `-0.0`, so the sum keeps its bits.
+                let select = p + 1 < k && !wts.iter().all(|w| w.is_finite());
                 let mut bits = Vec::new();
-                for v0 in (0..w2).step_by(16).filter(|_| p + 1 < k) {
+                for v0 in (0..w2).step_by(16).filter(|_| select) {
                     for kx in 0..k {
                         bits.push(
                             (0..16).fold(0u16, |m, l| m | u16::from(inside(v0 + l, kx)) << l),
@@ -674,7 +430,7 @@ impl Conv2d {
                 }
                 let taps = avx.input_grad_taps(wts, [oc_n, c, k], [splane, srow]);
                 let zeros = vec![0.0; c];
-                let mut out = Vec::with_capacity(n * c * h * w);
+                let mut out = refill(&mut self.lent, n * c * h * w);
                 for dy in dys {
                     let src = dy_window(dy, in_place, [k, p, oh, ow], [splane, srow], ws);
                     let (dims, window) = ([k, p, oh], [srow, origin]);
@@ -712,7 +468,7 @@ impl Conv2d {
                     (16, true) => input_grad_rows::<16, false>,
                     (_, true) => input_grad_rows::<SEG, false>,
                 };
-                let mut sink = PlaneSink::new(n * c * h * w, w);
+                let mut sink = PlaneSink::new(refill(&mut self.lent, n * c * h * w), w);
                 for dy in dys {
                     let src = dy_window(dy, in_place, [k, p, oh, ow], [splane, srow], ws);
                     let (dims, window) = ([k, p, oh, oc_n], [srow, origin]);
@@ -734,23 +490,13 @@ impl Conv2d {
             .expect("backward before forward(train=true)");
         let [gn, goc, _, _]: [usize; 4] = grad_out.shape().try_into().expect("grad shape");
         assert_eq!(goc, self.out_channels);
-        let grad_in = match &cache {
-            ConvCache::Im2col { col, n, h, w } => {
-                assert_eq!(gn, *n);
-                let dy = self.param_grads_gemm(grad_out, col, *n, *h, *w);
-                input_grad.then(|| self.input_grad_gemm(&dy, *n, *h, *w))
-            }
-            ConvCache::Padded { xt, start, n, h, w } => {
-                assert_eq!(gn, *n);
-                let dims = [*n, *h, *w];
-                let gs = grad_out.as_slice();
-                let mut ws = DY_BLOCK.take();
-                self.param_grads_direct(gs, &xt[*start..], dims, &mut ws);
-                let grad_in = input_grad.then(|| self.input_grad_direct(gs, dims, &mut ws));
-                DY_BLOCK.set(ws);
-                grad_in
-            }
-        };
+        assert_eq!(gn, cache.n);
+        let dims = [cache.n, cache.h, cache.w];
+        let gs = grad_out.as_slice();
+        let mut ws = DY_BLOCK.take();
+        self.param_grads_direct(gs, &cache.xt[cache.start..], dims, &mut ws);
+        let grad_in = input_grad.then(|| self.input_grad_direct(gs, dims, &mut ws));
+        DY_BLOCK.set(ws);
         // Restore the cache so repeated backward calls (as the numeric
         // gradient tests do) keep working, matching the old behaviour of
         // retaining the cached input.
@@ -769,24 +515,20 @@ impl Layer for Conv2d {
         assert_eq!(c, self.in_channels, "conv2d channel mismatch");
         let (oh, ow) = self.out_hw(h, w);
         assert!(oh > 0 && ow > 0, "conv2d output collapsed to zero size");
-        // A training forward supersedes the previous step's cache and
-        // refills its buffer.
-        let stale = if train { self.cache.take() } else { None };
-        if train && self.grad_w.is_empty() {
-            self.grad_w = vec![0.0; self.weight.len()];
-            self.grad_b = vec![0.0; self.out_channels];
+        let out = self.forward_direct(x, [n, c, h, w]);
+        if train {
+            if self.grad_w.is_empty() {
+                self.grad_w = vec![0.0; self.weight.len()];
+                self.grad_b = vec![0.0; self.out_channels];
+            }
+            // Only the weight gradient reads the input back, in lanes:
+            // cache it in that layout, refilling the previous step's
+            // cache.
+            let stale = self.cache.take().map_or_else(Vec::new, |c| c.xt);
+            let (xt, start) = image_minor(x, [n, c, h, w], self.padding, stale, simd());
+            self.cache = Some(ConvCache { xt, start, n, h, w });
         }
-        let spare = match stale {
-            Some(ConvCache::Padded { xt: buf, .. } | ConvCache::Im2col { col: buf, .. }) => buf,
-            None => Vec::new(),
-        };
-        let ckk = c * self.kernel * self.kernel;
-        if self.use_gemm(ckk, n * oh * ow) {
-            let col = if train { spare } else { GEMM_COL.take() };
-            self.forward_gemm(x, train, col, n, c, h, w)
-        } else {
-            self.forward_direct(x, train, spare, n, c, h, w)
-        }
+        out
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -813,10 +555,15 @@ impl Layer for Conv2d {
         ]
     }
 
+    fn lend(&mut self, buffer: Vec<f32>) {
+        self.lent = buffer;
+    }
+
     fn release_training_state(&mut self) {
         self.cache = None;
         self.grad_w = Vec::new();
         self.grad_b = Vec::new();
+        self.lent = Vec::new();
     }
 
     fn param_len(&self) -> usize {
@@ -933,10 +680,10 @@ struct PlaneSink {
 }
 
 impl PlaneSink {
-    /// A sink for `len` values in planes `width` values wide.
-    fn new(len: usize, width: usize) -> Self {
+    /// A sink for planes `width` values wide, appended to `out`.
+    fn new(out: Vec<f32>, width: usize) -> Self {
         PlaneSink {
-            out: Vec::with_capacity(len),
+            out,
             band: vec![0.0; (ROWS - 1) * width],
             width,
         }
@@ -1321,7 +1068,13 @@ mod tests {
                 }
             }
         }
-        conv.unpad(&gipad, n, c, h, w)
+        let mut grad_in = Vec::with_capacity(n * c * h * w);
+        for plane in gipad.chunks_exact(ph * pw) {
+            for row in plane[p * pw..].chunks_exact(pw).take(h) {
+                grad_in.extend_from_slice(&row[p..p + w]);
+            }
+        }
+        Tensor::from_vec(&[n, c, h, w], grad_in)
     }
 
     /// The direct forward loop the row kernel replaced, kept as its
@@ -1451,7 +1204,6 @@ mod tests {
             for n in [1, 3, 6, 15, 16, 17, 18, 33] {
                 let mut rng = StdRng::seed_from_u64((ic * 100 + oc * 10 + k + n) as u64);
                 let mut lanes = Conv2d::new(ic, oc, k, p, &mut rng);
-                lanes.set_kernel_path(KernelPath::Direct);
                 // Gradients already hold values: backward accumulates.
                 lanes.grad_w = mixed(lanes.weight.len(), 1);
                 lanes.grad_b = mixed(oc, 2);
@@ -1499,7 +1251,6 @@ mod tests {
                         for inf in [false, true] {
                             let mut rng = StdRng::seed_from_u64((k * 10 + p + w + n) as u64);
                             let mut conv = Conv2d::new(2, 3, k, p, &mut rng);
-                            conv.set_kernel_path(KernelPath::Direct);
                             let ws = conv.weight.as_mut_slice();
                             ws.copy_from_slice(&mixed(ws.len(), k + p));
                             ws[1] = 0.0;
@@ -1552,32 +1303,26 @@ mod tests {
 
     #[test]
     fn identity_kernel_preserves_input() {
-        for path in [KernelPath::Direct, KernelPath::Gemm] {
-            let mut conv = ident_kernel_conv();
-            conv.set_kernel_path(path);
-            let x = Tensor::from_vec(&[1, 1, 3, 3], (1..=9).map(|v| v as f32).collect());
-            let y = conv.forward(&x, false);
-            assert_eq!(y.shape(), &[1, 1, 3, 3]);
-            assert_eq!(y.as_slice(), x.as_slice(), "path {path:?}");
-        }
+        let mut conv = ident_kernel_conv();
+        let x = Tensor::from_vec(&[1, 1, 3, 3], (1..=9).map(|v| v as f32).collect());
+        let y = conv.forward(&x, false);
+        assert_eq!(y.shape(), &[1, 1, 3, 3]);
+        assert_eq!(y.as_slice(), x.as_slice());
     }
 
     #[test]
     fn valid_convolution_known_value() {
-        for path in [KernelPath::Direct, KernelPath::Gemm] {
-            let mut rng = StdRng::seed_from_u64(1);
-            let mut conv = Conv2d::new(1, 1, 2, 0, &mut rng);
-            conv.set_kernel_path(path);
-            {
-                let mut ps = conv.params();
-                ps[0].values.copy_from_slice(&[1., 2., 3., 4.]);
-                ps[1].values[0] = 0.5;
-            }
-            let x = Tensor::from_vec(&[1, 1, 2, 2], vec![1., 1., 1., 1.]);
-            let y = conv.forward(&x, false);
-            assert_eq!(y.shape(), &[1, 1, 1, 1]);
-            assert_eq!(y.as_slice(), &[10.5], "path {path:?}");
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut conv = Conv2d::new(1, 1, 2, 0, &mut rng);
+        {
+            let mut ps = conv.params();
+            ps[0].values.copy_from_slice(&[1., 2., 3., 4.]);
+            ps[1].values[0] = 0.5;
         }
+        let x = Tensor::from_vec(&[1, 1, 2, 2], vec![1., 1., 1., 1.]);
+        let y = conv.forward(&x, false);
+        assert_eq!(y.shape(), &[1, 1, 1, 1]);
+        assert_eq!(y.as_slice(), &[10.5]);
     }
 
     fn check_numeric_gradients(mut conv: Conv2d, x: &Tensor) {
@@ -1629,130 +1374,37 @@ mod tests {
                 .map(|i| ((i * 7) % 11) as f32 / 11.0 - 0.5)
                 .collect(),
         );
-        for path in [KernelPath::Direct, KernelPath::Gemm] {
-            let mut rng = StdRng::seed_from_u64(2);
-            let mut conv = Conv2d::new(2, 3, 3, 1, &mut rng);
-            conv.set_kernel_path(path);
-            check_numeric_gradients(conv, &x);
-        }
+        let mut rng = StdRng::seed_from_u64(2);
+        check_numeric_gradients(Conv2d::new(2, 3, 3, 1, &mut rng), &x);
     }
 
     #[test]
-    fn gemm_and_direct_paths_agree() {
-        // Large enough that Auto picks GEMM (ckk=27, ohow=64 -> 1728).
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut a = Conv2d::new(3, 4, 3, 1, &mut rng);
-        let mut b = a.clone();
-        a.set_kernel_path(KernelPath::Direct);
-        b.set_kernel_path(KernelPath::Gemm);
-        let x = Tensor::from_vec(
-            &[2, 3, 8, 8],
-            (0..2 * 3 * 64)
-                .map(|i| ((i * 13) % 23) as f32 / 23.0 - 0.5)
-                .collect(),
-        );
-        let ya = a.forward(&x, true);
-        let yb = b.forward(&x, true);
-        assert_eq!(ya.shape(), yb.shape());
-        for (va, vb) in ya.as_slice().iter().zip(yb.as_slice()) {
-            assert!((va - vb).abs() < 1e-5, "forward mismatch: {va} vs {vb}");
-        }
-        let gout = Tensor::from_vec(
-            ya.shape(),
-            (0..ya.len()).map(|i| (i % 5) as f32 - 2.0).collect(),
-        );
-        let ga = a.backward(&gout);
-        let gb = b.backward(&gout);
-        for (va, vb) in ga.as_slice().iter().zip(gb.as_slice()) {
-            assert!((va - vb).abs() < 1e-4, "input-grad mismatch: {va} vs {vb}");
-        }
-        for (va, vb) in a.params()[0].grads.iter().zip(b.params()[0].grads.iter()) {
-            assert!((va - vb).abs() < 1e-3, "weight-grad mismatch: {va} vs {vb}");
-        }
-    }
-
-    #[test]
-    fn gemm_workspace_reuse_is_bit_identical() {
-        // Batches 1, 8 and 3 interleaved with a wider layer and a training
-        // forward, each on this thread's reused workspace, against the same
-        // call on a fresh thread whose workspace starts empty.
+    fn lent_buffers_are_bit_identical() {
+        // Training steps of batches 8, 3, 17 and 1, each lent its last
+        // output and input gradient to refill, and an inference forward in
+        // between, against the same calls on a fresh copy of the layer
+        // that holds no lent allocation.
         let mut rng = StdRng::seed_from_u64(11);
-        let mut narrow = Conv2d::new(2, 5, 3, 1, &mut rng);
-        let mut wide = Conv2d::new(2, 9, 5, 2, &mut rng);
-        narrow.set_kernel_path(KernelPath::Gemm);
-        wide.set_kernel_path(KernelPath::Gemm);
-        let fresh = |conv: &Conv2d, x: &Tensor, train: bool| {
-            let mut conv = conv.clone();
-            std::thread::scope(|s| {
-                s.spawn(move || bits(conv.forward(x, train).as_slice()))
-                    .join()
-                    .expect("reference forward")
-            })
-        };
-        for (step, batch) in [1, 8, 3, 8, 1, 3].into_iter().enumerate() {
+        let mut conv = Conv2d::new(2, 5, 3, 1, &mut rng);
+        for (step, batch) in [8, 3, 17, 1].into_iter().enumerate() {
+            let same = |a: &Tensor, b: Tensor| {
+                assert_eq!(bits(a.as_slice()), bits(b.as_slice()), "batch {batch}");
+            };
             let x = Tensor::from_vec(&[batch, 2, 7, 6], mixed(batch * 84, step));
-            for (conv, train) in [(&mut narrow, false), (&mut wide, step % 2 == 1)] {
-                let want = fresh(conv, &x, train);
-                assert_eq!(
-                    bits(conv.forward(&x, train).as_slice()),
-                    want,
-                    "batch {batch}"
-                );
-            }
+            let mut fresh = conv.clone();
+            fresh.lent = Vec::new();
+            let y = conv.forward(&x, true);
+            same(&y, fresh.forward(&x, true));
+            let gout = Tensor::from_vec(y.shape(), mixed(y.len(), step + 7));
+            conv.lend(y.into_vec());
+            let gx = conv.backward(&gout);
+            same(&gx, fresh.backward(&gout));
+            assert_eq!(bits(&conv.grad_w), bits(&fresh.grad_w), "batch {batch}");
+            conv.lend(gx.into_vec());
+            same(&conv.forward(&x, false), fresh.forward(&x, false));
         }
-    }
-
-    #[test]
-    fn pointwise_convolution_paths_agree() {
-        // 1x1/no-pad: degenerate lowering (col rows == input planes).
-        let mut rng = StdRng::seed_from_u64(8);
-        let mut a = Conv2d::new(4, 2, 1, 0, &mut rng);
-        let mut b = a.clone();
-        a.set_kernel_path(KernelPath::Direct);
-        b.set_kernel_path(KernelPath::Gemm);
-        let x = Tensor::from_vec(
-            &[2, 4, 5, 5],
-            (0..2 * 4 * 25)
-                .map(|i| ((i * 3) % 17) as f32 / 17.0 - 0.4)
-                .collect(),
-        );
-        let ya = a.forward(&x, true);
-        let yb = b.forward(&x, true);
-        for (va, vb) in ya.as_slice().iter().zip(yb.as_slice()) {
-            assert!((va - vb).abs() < 1e-5);
-        }
-        let gout = Tensor::from_vec(ya.shape(), vec![0.5; ya.len()]);
-        let ga = a.backward(&gout);
-        let gb = b.backward(&gout);
-        for (va, vb) in ga.as_slice().iter().zip(gb.as_slice()) {
-            assert!((va - vb).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn auto_path_crosses_threshold() {
-        // Pin thresholds so the assertions survive a change of defaults.
-        let tuning = crate::exec::Tuning {
-            conv_gemm_min_oc: 12,
-            conv_gemm_min_ckk: 32,
-            conv_gemm_min_macs: 1 << 18,
-            ..crate::exec::Tuning::default()
-        };
-        let base = crate::exec::current();
-        crate::exec::scoped(crate::exec::Exec { tuning, ..base }, || {
-            let mut rng = StdRng::seed_from_u64(9);
-            // Few output channels: direct regardless of how many columns.
-            let conv = Conv2d::new(6, 6, 3, 1, &mut rng);
-            assert!(!conv.use_gemm(54, 1 << 20));
-            // Shallow reduction (single input channel): direct.
-            let conv = Conv2d::new(1, 16, 3, 1, &mut rng);
-            assert!(!conv.use_gemm(9, 1 << 20));
-            // Channel-rich and deep but tiny total work: direct.
-            let conv = Conv2d::new(6, 16, 3, 0, &mut rng);
-            assert!(!conv.use_gemm(54, 100));
-            // Channel-rich, deep, batch-sized columns: GEMM.
-            assert!(conv.use_gemm(54, 32 * 100));
-        });
+        conv.release_training_state();
+        assert_eq!(conv.lent.capacity(), 0);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //!   input gradient ([`super::input_grad_rows`]): a block of [`ROWS`] rows
 //!   × one or two 16-lane vectors for up to four output planes at once, so
 //!   one load of an input row serves every plane of the block, and masked
-//!   stores keep only the block's real rows and lanes;
+//!   stores keep only the block's real rows and lanes; planes at most 8
+//!   wide pack two rows into each vector ([`paired`]);
 //! - [`Avx512::weight_grad_block`] runs a 16-image lane block as one zmm
 //!   register per chain, up to [`GROUP`] chains of a `dy` row (all `K·K`
 //!   taps of one input channel of a 3×3 kernel) side by side, the bias
@@ -152,6 +153,17 @@ impl Avx512 {
             // land in planes `first ..` of the `len` reserved values.
             unsafe {
                 let (s, d) = (src.as_ptr(), dst.add(first * h * w));
+                if w <= L / 2 {
+                    match (width, masked) {
+                        (4, false) => paired::<4, false>(s, t, init, masks, geometry, d),
+                        (2, false) => paired::<2, false>(s, t, init, masks, geometry, d),
+                        (_, false) => paired::<1, false>(s, t, init, masks, geometry, d),
+                        (4, true) => paired::<4, true>(s, t, init, masks, geometry, d),
+                        (2, true) => paired::<2, true>(s, t, init, masks, geometry, d),
+                        (_, true) => paired::<1, true>(s, t, init, masks, geometry, d),
+                    }
+                    continue;
+                }
                 match (seg == L, width, masked) {
                     (true, 4, false) => rows::<1, 4, false>(s, t, init, masks, geometry, d),
                     (true, 2, false) => rows::<1, 2, false>(s, t, init, masks, geometry, d),
@@ -319,10 +331,12 @@ impl Taps {
         skip_zeros: bool,
         tap: impl Fn(usize, usize) -> (usize, f32, usize, usize),
     ) -> Self {
+        // One run of at most `per_plane` taps per block.
+        let blocks = planes / PLANES + planes % PLANES / 2 + planes % 2;
         let mut out = Taps {
             planes,
             blocks: Vec::new(),
-            taps: Vec::with_capacity(planes * per_plane),
+            taps: Vec::with_capacity(blocks * per_plane),
         };
         let mut first = 0;
         while first < planes {
@@ -423,6 +437,110 @@ unsafe fn rows<const V: usize, const B: usize, const MASKED: bool>(
             for (j, a) in acc.iter().enumerate() {
                 let plane = dst.add(j * h * w + y0 * w + x0);
                 store(a, plane, w, ROWS.min(h - y0), w - x0);
+            }
+        }
+    }
+}
+
+/// [`rows`] for planes at most 8 values wide: each vector holds a pair of
+/// rows, the first in lanes 0–7 and the second in lanes 8–15, so no lane
+/// is spent on the spare half of a 16-lane row. A block is two pairs (four
+/// rows), or one for the last two rows; each lane still runs its element's
+/// taps in order, so the results are those of [`rows`].
+///
+/// # Safety
+///
+/// As for [`rows`]; a row's loads read its first 8 lanes of the 16 that
+/// [`Avx512::rows`] asserts.
+// SAFETY: the contract above is met by `Avx512::rows`, the only caller.
+#[target_feature(enable = "avx512f")]
+unsafe fn paired<const B: usize, const MASKED: bool>(
+    src: *const f32,
+    taps: &[Tap],
+    init: &[f32],
+    masks: &[u16],
+    geometry: [usize; 7],
+    dst: *mut f32,
+) {
+    let h = geometry[5];
+    for y0 in (0..h).step_by(2 * ROWS) {
+        if h - y0 > ROWS {
+            pair_block::<2, B, MASKED>(src, taps, init, masks, geometry, y0, dst);
+        } else {
+            pair_block::<1, B, MASKED>(src, taps, init, masks, geometry, y0, dst);
+        }
+    }
+}
+
+/// `P` row pairs of [`paired`] from row `y0`.
+///
+/// # Safety
+///
+/// As for [`paired`].
+// SAFETY: the contract above is met by `paired`, the only caller.
+#[target_feature(enable = "avx512f")]
+#[inline]
+unsafe fn pair_block<const P: usize, const B: usize, const MASKED: bool>(
+    src: *const f32,
+    taps: &[Tap],
+    init: &[f32],
+    masks: &[u16],
+    [_, p, oh, stride, origin, h, w]: [usize; 7],
+    y0: usize,
+    dst: *mut f32,
+) {
+    // Rows `r` and `r + 1` of the block from `x` into one vector.
+    let load = |x: *const f32, r: usize| {
+        let lo = _mm512_castps256_ps512(_mm256_loadu_ps(x.add(r * stride)));
+        let hi = _mm256_castps_pd(_mm256_loadu_ps(x.add((r + 1) * stride)));
+        _mm512_castpd_ps(_mm512_insertf64x4::<1>(_mm512_castps_pd(lo), hi))
+    };
+    let all = (1u8 << B) - 1;
+    let mut acc: [[__m512; P]; B] = std::array::from_fn(|j| [_mm512_set1_ps(init[j]); P]);
+    let block = src.add(origin + y0 * stride);
+    for tap in taps {
+        let wv: [__m512; B] = std::array::from_fn(|j| _mm512_set1_ps(tap.w[j]));
+        let x = block.add(tap.off);
+        if !MASKED && tap.live == all {
+            for i in 0..P {
+                let xv = load(x, 2 * i);
+                for (a, &wj) in acc.iter_mut().zip(&wv) {
+                    a[i] = _mm512_add_ps(a[i], _mm512_mul_ps(wj, xv));
+                }
+            }
+            continue;
+        }
+        // The lanes of a row that add this tap, then per pair the rows
+        // inside the output.
+        let row_lanes = if MASKED { masks[tap.kx] & 0xFF } else { 0xFF };
+        for i in 0..P {
+            let mut lanes = 0u16;
+            for half in 0..2 {
+                if !MASKED || (y0 + 2 * i + half + p).wrapping_sub(tap.ky) < oh {
+                    lanes |= row_lanes << (8 * half);
+                }
+            }
+            if lanes == 0 {
+                continue;
+            }
+            let xv = load(x, 2 * i);
+            for (j, (a, &wj)) in acc.iter_mut().zip(&wv).enumerate() {
+                let m = if tap.live >> j & 1 == 1 { lanes } else { 0 };
+                let prod = _mm512_mul_ps(wj, xv);
+                a[i] = _mm512_mask_add_ps(a[i], m, a[i], prod);
+            }
+        }
+    }
+    let live = lanes(w);
+    for (j, a) in acc.iter().enumerate() {
+        let plane = dst.add(j * h * w);
+        for (i, &v) in a.iter().enumerate() {
+            let y = y0 + 2 * i;
+            _mm512_mask_storeu_ps(plane.add(y * w), live, v);
+            if y + 1 < h {
+                let hi = _mm512_extractf64x4_pd::<1>(_mm512_castps_pd(v));
+                let hi = _mm512_castps256_ps512(_mm256_castpd_ps(hi));
+                _mm512_mask_storeu_ps(plane.add((y + 1) * w), live, hi);
             }
         }
     }

@@ -4,7 +4,7 @@
 
 use crate::gemm;
 use crate::init::he_normal;
-use crate::layer::{Layer, Param};
+use crate::layer::{refill, Layer, Param};
 use crate::tensor::Tensor;
 use rand::rngs::StdRng;
 
@@ -20,6 +20,9 @@ pub struct Dense {
     grad_w: Vec<f32>,
     grad_b: Vec<f32>,
     cached_input: Option<Tensor>,
+    /// An allocation lent through [`Layer::lend`], for the next output or
+    /// input gradient to refill.
+    lent: Vec<f32>,
 }
 
 impl Dense {
@@ -37,6 +40,7 @@ impl Dense {
             grad_w: Vec::new(),
             grad_b: Vec::new(),
             cached_input: None,
+            lent: Vec::new(),
         }
     }
 
@@ -70,30 +74,37 @@ impl Layer for Dense {
         assert_eq!(x.shape().len(), 2, "dense expects [N, features]");
         assert_eq!(x.shape()[1], self.in_features, "dense input width mismatch");
         if train {
-            self.cached_input = Some(x.clone());
+            // A copy of `x`, in the previous step's copy's allocation.
+            let mut cached = self
+                .cached_input
+                .take()
+                .map_or_else(Vec::new, Tensor::into_vec);
+            cached.clear();
+            cached.extend_from_slice(x.as_slice());
+            self.cached_input = Some(Tensor::from_vec(x.shape(), cached));
             if self.grad_w.is_empty() {
                 self.grad_w = vec![0.0; self.in_features * self.out_features];
                 self.grad_b = vec![0.0; self.out_features];
             }
         }
         let n = x.shape()[0];
-        let mut y = Tensor::zeros(&[n, self.out_features]);
+        let mut ys = refill(&mut self.lent, n * self.out_features);
+        ys.resize(n * self.out_features, 0.0);
         gemm::gemm(
             n,
             self.in_features,
             self.out_features,
             x.as_slice(),
             self.weight.as_slice(),
-            y.as_mut_slice(),
+            &mut ys,
         );
-        let ys = y.as_mut_slice();
         let bs = self.bias.as_slice();
         for i in 0..n {
             for j in 0..self.out_features {
                 ys[i * self.out_features + j] += bs[j];
             }
         }
-        y
+        Tensor::from_vec(&[n, self.out_features], ys)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -101,16 +112,17 @@ impl Layer for Dense {
         // grad_x = g W^T: W is stored [in, out], the transposed right
         // operand for the NT kernel.
         let n = grad_out.shape()[0];
-        let mut gx = Tensor::zeros(&[n, self.in_features]);
+        let mut gx = refill(&mut self.lent, n * self.in_features);
+        gx.resize(n * self.in_features, 0.0);
         gemm::gemm_nt(
             n,
             self.out_features,
             self.in_features,
             grad_out.as_slice(),
             self.weight.as_slice(),
-            gx.as_mut_slice(),
+            &mut gx,
         );
-        gx
+        Tensor::from_vec(&[n, self.in_features], gx)
     }
 
     fn backward_params(&mut self, grad_out: &Tensor) {
@@ -153,7 +165,12 @@ impl Layer for Dense {
         ]
     }
 
+    fn lend(&mut self, buffer: Vec<f32>) {
+        self.lent = buffer;
+    }
+
     fn release_training_state(&mut self) {
+        self.lent = Vec::new();
         self.cached_input = None;
         self.grad_w = Vec::new();
         self.grad_b = Vec::new();

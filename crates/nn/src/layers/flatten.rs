@@ -1,12 +1,15 @@
 //! Flattening between convolutional and dense stages.
 
-use crate::layer::Layer;
+use crate::layer::{refill, Layer};
 use crate::tensor::Tensor;
 
 /// Flattens `[N, …]` to `[N, prod(…)]`, restoring the shape on backward.
 #[derive(Clone, Debug, Default)]
 pub struct Flatten {
     cached_shape: Vec<usize>,
+    /// An allocation lent through [`Layer::lend`], for the next output or
+    /// input gradient to refill.
+    lent: Vec<f32>,
 }
 
 impl Flatten {
@@ -27,7 +30,9 @@ impl Layer for Flatten {
         if train {
             self.cached_shape = x.shape().to_vec();
         }
-        x.reshape(&[n, rest])
+        let mut y = refill(&mut self.lent, x.len());
+        y.extend_from_slice(x.as_slice());
+        Tensor::from_vec(&[n, rest], y)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -35,11 +40,18 @@ impl Layer for Flatten {
             !self.cached_shape.is_empty(),
             "backward before forward(train=true)"
         );
-        grad_out.reshape(&self.cached_shape)
+        let mut g = refill(&mut self.lent, grad_out.len());
+        g.extend_from_slice(grad_out.as_slice());
+        Tensor::from_vec(&self.cached_shape, g)
+    }
+
+    fn lend(&mut self, buffer: Vec<f32>) {
+        self.lent = buffer;
     }
 
     fn release_training_state(&mut self) {
         self.cached_shape = Vec::new();
+        self.lent = Vec::new();
     }
 
     fn output_shape(&self, input: &[usize]) -> Vec<usize> {

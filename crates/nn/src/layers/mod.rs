@@ -8,7 +8,7 @@ mod pool;
 mod residual;
 
 pub use activation::{Relu, Sigmoid};
-pub use conv::{Conv2d, KernelPath};
+pub use conv::Conv2d;
 pub use dense::Dense;
 pub use flatten::Flatten;
 pub use pool::MaxPool2;

@@ -1,6 +1,6 @@
 //! 2×2 max pooling.
 
-use crate::layer::Layer;
+use crate::layer::{refill, Layer};
 use crate::tensor::Tensor;
 
 /// 2×2 max pooling with stride 2 over `[N, C, H, W]` inputs.
@@ -13,6 +13,9 @@ pub struct MaxPool2 {
     /// Input index of each output's maximum (first of a tie, the window's
     /// top-left when it holds a `NaN` there).
     cached_argmax: Vec<u32>,
+    /// An allocation lent through [`Layer::lend`], for the next output or
+    /// input gradient to refill.
+    lent: Vec<f32>,
 }
 
 impl MaxPool2 {
@@ -36,7 +39,8 @@ impl Layer for MaxPool2 {
             u32::try_from(xs.len()).is_ok(),
             "maxpool input exceeds u32 indexing"
         );
-        let mut out = Tensor::zeros(&[n, c, oh, ow]);
+        let mut out = refill(&mut self.lent, n * c * oh * ow);
+        out.resize(n * c * oh * ow, 0.0);
         // Only a training forward records where each maximum came from
         // (backward routes through it), in the previous step's buffer.
         let mut argmax = Vec::new();
@@ -45,9 +49,7 @@ impl Layer for MaxPool2 {
             argmax.clear();
             argmax.reserve(n * c * oh * ow);
         }
-        let planes = xs
-            .chunks_exact(h * w)
-            .zip(out.as_mut_slice().chunks_exact_mut(oh * ow));
+        let planes = xs.chunks_exact(h * w).zip(out.chunks_exact_mut(oh * ow));
         for (plane_idx, (plane, out_plane)) in planes.enumerate() {
             let base = plane_idx * h * w;
             for (oy, out_row) in out_plane.chunks_exact_mut(ow).enumerate() {
@@ -80,7 +82,7 @@ impl Layer for MaxPool2 {
             self.cached_input_shape = x.shape().to_vec();
             self.cached_argmax = argmax;
         }
-        out
+        Tensor::from_vec(&[n, c, oh, ow], out)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -88,17 +90,23 @@ impl Layer for MaxPool2 {
             !self.cached_input_shape.is_empty(),
             "backward before forward(train=true)"
         );
-        let mut grad_in = Tensor::zeros(&self.cached_input_shape);
-        let gi = grad_in.as_mut_slice();
+        let len = self.cached_input_shape.iter().product();
+        let mut gi = refill(&mut self.lent, len);
+        gi.resize(len, 0.0);
         for (&src, &g) in self.cached_argmax.iter().zip(grad_out.as_slice()) {
             gi[src as usize] += g;
         }
-        grad_in
+        Tensor::from_vec(&self.cached_input_shape, gi)
+    }
+
+    fn lend(&mut self, buffer: Vec<f32>) {
+        self.lent = buffer;
     }
 
     fn release_training_state(&mut self) {
         self.cached_input_shape = Vec::new();
         self.cached_argmax = Vec::new();
+        self.lent = Vec::new();
     }
 
     fn output_shape(&self, input: &[usize]) -> Vec<usize> {

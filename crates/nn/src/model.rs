@@ -22,6 +22,10 @@ pub struct ModelState {
 pub struct Sequential {
     name: String,
     layers: Vec<Box<dyn Layer>>,
+    /// Training state: the allocations of activations and gradients that
+    /// their readers are done with, lent to the next layers that run (see
+    /// [`Layer::lend`]).
+    spare: Vec<Vec<f32>>,
 }
 
 impl Clone for Sequential {
@@ -29,6 +33,7 @@ impl Clone for Sequential {
         Sequential {
             name: self.name.clone(),
             layers: self.layers.clone(),
+            spare: Vec::new(),
         }
     }
 }
@@ -52,6 +57,7 @@ impl Sequential {
         Sequential {
             name: name.into(),
             layers: Vec::new(),
+            spare: Vec::new(),
         }
     }
 
@@ -183,18 +189,29 @@ impl Layer for Sequential {
         "sequential"
     }
 
+    /// In training, every layer but the last (whose output leaves the
+    /// stack) is lent a spare allocation before it runs, and each
+    /// activation's allocation becomes spare once the next layer has read
+    /// it. The input is copied only when there is no layer to produce a new
+    /// tensor (an empty stack is a pass-through).
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        // The input is copied only when there is no layer to produce a new
-        // tensor (an empty stack is a pass-through).
+        let last = self.layers.len().saturating_sub(1);
         let mut cur: Option<Tensor> = None;
-        for layer in &mut self.layers {
-            cur = Some(layer.forward(cur.as_ref().unwrap_or(x), train));
+        for (i, layer) in self.layers.iter_mut().enumerate() {
+            if train && i < last {
+                lend_spare(&mut self.spare, layer.as_mut());
+            }
+            let next = layer.forward(cur.as_ref().unwrap_or(x), train);
+            if let Some(spent) = cur.replace(next).filter(|_| train) {
+                self.spare.push(spent.into_vec());
+            }
         }
         cur.unwrap_or_else(|| x.clone())
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        backward_through(&mut self.layers, grad_out).unwrap_or_else(|| grad_out.clone())
+        backward_through(&mut self.layers, &mut self.spare, grad_out, false)
+            .unwrap_or_else(|| grad_out.clone())
     }
 
     /// Runs the full backward down to the first layer that owns
@@ -205,11 +222,15 @@ impl Layer for Sequential {
             return;
         };
         let (below, above) = self.layers.split_at_mut(first + 1);
-        let g = backward_through(above, grad_out);
+        let g = backward_through(above, &mut self.spare, grad_out, true);
         below[first].backward_params(g.as_ref().unwrap_or(grad_out));
+        if let Some(spent) = g {
+            self.spare.push(spent.into_vec());
+        }
     }
 
     fn release_training_state(&mut self) {
+        self.spare = Vec::new();
         for layer in &mut self.layers {
             layer.release_training_state();
         }
@@ -251,13 +272,35 @@ impl Layer for Sequential {
 }
 
 /// Back-propagates `grad_out` through `layers` in reverse order; `None`
-/// when there are no layers (the gradient passes through unchanged).
-fn backward_through(layers: &mut [Box<dyn Layer>], grad_out: &Tensor) -> Option<Tensor> {
+/// when there are no layers (the gradient passes through unchanged). Each
+/// gradient's allocation becomes spare once the layer below has consumed
+/// it, and each layer is lent one before it runs, except the first when
+/// its gradient leaves the stack (`lend_first` false).
+fn backward_through(
+    layers: &mut [Box<dyn Layer>],
+    spare: &mut Vec<Vec<f32>>,
+    grad_out: &Tensor,
+    lend_first: bool,
+) -> Option<Tensor> {
     let mut g: Option<Tensor> = None;
-    for layer in layers.iter_mut().rev() {
-        g = Some(layer.backward(g.as_ref().unwrap_or(grad_out)));
+    for (i, layer) in layers.iter_mut().enumerate().rev() {
+        if i > 0 || lend_first {
+            lend_spare(spare, layer.as_mut());
+        }
+        let next = layer.backward(g.as_ref().unwrap_or(grad_out));
+        if let Some(spent) = g.replace(next) {
+            spare.push(spent.into_vec());
+        }
     }
     g
+}
+
+/// Lends `layer` the spare allocation that was read last, if there is
+/// one: the most likely still to be in cache.
+fn lend_spare(spare: &mut Vec<Vec<f32>>, layer: &mut dyn Layer) {
+    if let Some(buffer) = spare.pop() {
+        layer.lend(buffer);
+    }
 }
 
 #[cfg(test)]
@@ -390,7 +433,7 @@ mod tests {
 
     #[test]
     fn backward_params_leaves_the_gradients_of_backward() {
-        use crate::layers::{Conv2d, KernelPath, Residual};
+        use crate::layers::{Conv2d, Residual};
         let mut rng = StdRng::seed_from_u64(7);
         let image = Tensor::from_vec(
             &[3, 2, 6, 6],
@@ -398,11 +441,8 @@ mod tests {
                 .map(|i| ((i * 13) % 17) as f32 / 9.0 - 0.9)
                 .collect(),
         );
-        for path in [KernelPath::Direct, KernelPath::Gemm] {
-            let mut conv = Conv2d::new(2, 4, 3, 1, &mut rng);
-            conv.set_kernel_path(path);
-            assert_params_only_matches_backward(Box::new(conv), &image);
-        }
+        let conv = Conv2d::new(2, 4, 3, 1, &mut rng);
+        assert_params_only_matches_backward(Box::new(conv), &image);
         let flat = Tensor::from_vec(&[3, 72], image.as_slice().to_vec());
         assert_params_only_matches_backward(Box::new(Dense::new(72, 5, &mut rng)), &flat);
         // A stack whose first layer owns no parameters.

@@ -74,6 +74,11 @@ impl Tensor {
         &mut self.data
     }
 
+    /// The underlying data, shape dropped.
+    pub fn into_vec(self) -> Vec<f32> {
+        self.data
+    }
+
     /// Reinterprets the tensor with a new shape of equal element count.
     ///
     /// # Panics

@@ -10,7 +10,7 @@
 use mvml_nn::exec::{current, scoped, Exec};
 use mvml_nn::gemm::{available_kernels, Kernel};
 use mvml_nn::layer::Layer;
-use mvml_nn::layers::{Conv2d, KernelPath, Relu};
+use mvml_nn::layers::{Conv2d, Relu};
 use mvml_nn::optim::Sgd;
 use mvml_nn::{Sequential, Tensor};
 use rand::rngs::StdRng;
@@ -107,7 +107,6 @@ fn direct_kernels_match_the_reference_loops_bitwise() {
         }
         cases += 1;
         let mut conv = Conv2d::new(c, oc, k, p, &mut StdRng::seed_from_u64(cases));
-        conv.set_kernel_path(KernelPath::Direct);
         {
             let mut params = conv.params();
             // Zero weights (skipped by the forward), and a non-finite one
@@ -150,9 +149,7 @@ fn trained_stack(channels: usize, steps: usize) -> Vec<u32> {
         (channels, channels, 3, 1),
         (channels, 1, 1, 0),
     ] {
-        let mut conv = Conv2d::new(i, o, k, p, &mut rng);
-        conv.set_kernel_path(KernelPath::Direct);
-        m.push(conv);
+        m.push(Conv2d::new(i, o, k, p, &mut rng));
         if o > 1 {
             m.push(Relu::new());
         }

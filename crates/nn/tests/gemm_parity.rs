@@ -7,7 +7,7 @@
 use mvml_nn::exec::{current, scoped, Exec, Tuning};
 use mvml_nn::gemm::{available_kernels, gemm, gemm_nt, gemm_nt_acc, gemm_tn, gemm_tn_acc, Kernel};
 use mvml_nn::layer::Layer;
-use mvml_nn::layers::{Conv2d, Dense, KernelPath};
+use mvml_nn::layers::{Conv2d, Dense};
 use mvml_nn::quant::{dequantize, gemm_i8, quantize, requant_i8, symmetric_scale};
 use mvml_nn::Tensor;
 use proptest::prelude::*;
@@ -332,43 +332,6 @@ proptest! {
         prop_assert_eq!(&via_nt, &direct2);
     }
 
-    /// Conv2d's GEMM path agrees with the direct loops — forward outputs to
-    /// 1e-5, input gradients to 1e-4, weight gradients to 1e-3 — for random
-    /// shapes, kernels and paddings.
-    #[test]
-    #[cfg_attr(miri, ignore)]
-    fn conv_paths_agree(
-        n in 1usize..3,
-        c in 1usize..4,
-        oc in 1usize..4,
-        hw in 4usize..10,
-        kernel in 1usize..4,
-        padding in 0usize..2,
-        salt in 0u64..1_000,
-    ) {
-        prop_assume!(hw + 2 * padding >= kernel);
-        let mut rng = StdRng::seed_from_u64(salt);
-        let mut direct = Conv2d::new(c, oc, kernel, padding, &mut rng);
-        let mut gemm_conv = direct.clone();
-        direct.set_kernel_path(KernelPath::Direct);
-        gemm_conv.set_kernel_path(KernelPath::Gemm);
-        let x = Tensor::from_vec(&[n, c, hw, hw], fill(n * c * hw * hw, salt ^ 0x5A5A));
-        let ya = direct.forward(&x, true);
-        let yb = gemm_conv.forward(&x, true);
-        for (a, b) in ya.as_slice().iter().zip(yb.as_slice()) {
-            prop_assert!((a - b).abs() <= 1e-5 * (1.0 + a.abs()), "forward {a} vs {b}");
-        }
-        let gout = Tensor::from_vec(ya.shape(), fill(ya.len(), salt ^ 0x7777));
-        let ga = direct.backward(&gout);
-        let gb = gemm_conv.backward(&gout);
-        for (a, b) in ga.as_slice().iter().zip(gb.as_slice()) {
-            prop_assert!((a - b).abs() <= 1e-4 * (1.0 + a.abs()), "input grad {a} vs {b}");
-        }
-        for (a, b) in direct.params()[0].grads.iter().zip(gemm_conv.params()[0].grads.iter()) {
-            prop_assert!((a - b).abs() <= 1e-3 * (1.0 + a.abs()), "weight grad {a} vs {b}");
-        }
-    }
-
     /// Dense forward stays a plain affine map after the GEMM rewrite.
     #[test]
     #[cfg_attr(miri, ignore)]
@@ -439,8 +402,7 @@ fn kernel_parity_holds_on_miri_sized_shapes() {
     }
 }
 
-/// Numerical gradient check with the kernel path pinned to im2col + GEMM
-/// (a shape `Auto` may legitimately keep on the direct path).
+/// Numerical gradient check of a convolution on a larger shape.
 // Policy: the proptest sweeps above and this 48-shape gradient check take
 // minutes under the miri interpreter for no extra UB coverage; the plain
 // determinism tests exercise the same kernels under miri.
@@ -449,7 +411,6 @@ fn kernel_parity_holds_on_miri_sized_shapes() {
 fn gemm_conv_gradients_match_numeric_on_large_shape() {
     let mut rng = StdRng::seed_from_u64(41);
     let mut conv = Conv2d::new(3, 4, 3, 1, &mut rng);
-    conv.set_kernel_path(KernelPath::Gemm);
     let x = Tensor::from_vec(&[2, 3, 12, 12], fill(2 * 3 * 144, 97));
 
     let y = conv.forward(&x, true);

@@ -1,5 +1,5 @@
 //! Admission and batching: coalescing per-request classifications into
-//! per-tenant batches for the batched im2col+GEMM inference path.
+//! per-tenant batches, one batched forward per module and round.
 //!
 //! Requests are validated at admission (known tenant, declared shape,
 //! payload length) and queued per tenant in arrival order. Each service

@@ -5,8 +5,8 @@
 //! time; this crate refactors that into a long-running service shape:
 //!
 //! - **Admission & batching** ([`admission`]): requests are validated and
-//!   coalesced per tenant into one `[N, …]` tensor per round, so the
-//!   batched im2col+GEMM path serves many requests per forward pass.
+//!   coalesced per tenant into one `[N, …]` tensor per round, so one
+//!   batched forward per module serves many requests.
 //! - **Shards & fault domains** ([`shard`]): each tenant owns a complete
 //!   [`mvml_core::NVersionSystem`] — replicas, guard, watchdog,
 //!   rejuvenation schedule — and tenants are partitioned across shards

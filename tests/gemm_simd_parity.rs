@@ -2,10 +2,10 @@
 //! every GEMM microkernel this host offers, the three classifier versions
 //! give bitwise the scalar kernel's inference logits at batches 1 and 8
 //! and bitwise its weights after a training step. Batches alternate, so
-//! the layers' reused GEMM workspaces carry a previous call's contents
-//! into each forward.
+//! the reused GEMM packing buffers carry a previous call's contents into
+//! each forward.
 
-use resilient_perception::nn::exec::{current, scoped, Exec, Tuning};
+use resilient_perception::nn::exec::{current, scoped, Exec};
 use resilient_perception::nn::gemm::{available_kernels, Kernel};
 use resilient_perception::nn::layer::Layer;
 use resilient_perception::nn::models::three_versions;
@@ -60,31 +60,21 @@ fn fingerprint() -> Vec<Vec<u32>> {
 
 #[test]
 fn classifier_models_are_bitwise_scalar_under_every_kernel() {
-    // The default routing, then every convolution through the GEMM.
-    let all_gemm = Tuning {
-        conv_gemm_min_oc: 0,
-        conv_gemm_min_ckk: 0,
-        conv_gemm_min_macs: 0,
-        ..Tuning::default()
+    let on = |kernel| {
+        scoped(
+            Exec {
+                kernel,
+                ..current()
+            },
+            fingerprint,
+        )
     };
-    for tuning in [Tuning::default(), all_gemm] {
-        let on = |kernel| {
-            scoped(
-                Exec {
-                    kernel,
-                    tuning,
-                    ..current()
-                },
-                fingerprint,
-            )
-        };
-        let scalar = on(Kernel::Scalar);
-        for kernel in available_kernels() {
-            assert!(
-                on(kernel) == scalar,
-                "{} differs from scalar ({tuning:?})",
-                kernel.name()
-            );
-        }
+    let scalar = on(Kernel::Scalar);
+    for kernel in available_kernels() {
+        assert!(
+            on(kernel) == scalar,
+            "{} differs from scalar",
+            kernel.name()
+        );
     }
 }

@@ -31,10 +31,9 @@ fn fnv1a<'a>(models: impl IntoIterator<Item = &'a mut Sequential>) -> u64 {
 
 /// Runs `f` inside a scope of the built-in tuning. Scopes are
 /// process-wide and serialized, so holding one keeps any other test's
-/// scope (tiny blocks, an all-GEMM conv route) from reaching this training
-/// run; the route thresholds pick between two kernels that sum in
-/// different orders. Thread count and microkernel change no value and
-/// stay as resolved.
+/// scope (tiny blocks, a forced kernel) from reaching this training run.
+/// No context field changes a value; thread count and microkernel stay as
+/// resolved.
 fn default_tuning<R>(f: impl FnOnce() -> R) -> R {
     scoped(
         Exec {
@@ -79,10 +78,9 @@ fn trained_tenant_weights_are_pinned() {
     let mut models: Vec<Sequential> = (0..system.version_count())
         .map(|i| system.module_mut(i).model_mut().clone())
         .collect();
-    // The classifiers' channel-rich layers train on GEMM.
     assert_eq!(
         fnv1a(&mut models),
-        0x4b48_90c1_6204_f240,
+        0x5866_4f7b_1298_ecbc,
         "trained tenant weights changed"
     );
 }
